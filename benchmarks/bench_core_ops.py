@@ -81,5 +81,5 @@ def test_corrected_index_batch_fast(benchmark, data, keys, im):
     index = CorrectedIndex(data, im, layer)
     queries = np.random.default_rng(7).choice(keys, 2000)
 
-    got = benchmark(index.lookup_batch_fast, queries)
+    got = benchmark(index.lookup_batch_vectorized, queries)
     assert np.array_equal(got, data.lower_bound_batch(queries))

@@ -1,21 +1,19 @@
-"""Network serving quickstart: TCP clients, pipelining, read workers.
+"""Network serving quickstart: TCP clients, pipelining, read-your-writes.
 
 Builds an index, serves it over the framed binary protocol
-(:mod:`repro.net`), and drives it three ways:
+(:mod:`repro.net`), and drives it two ways:
 
 1. a crowd of pipelining TCP clients whose point/range answers are all
    checked against ``np.searchsorted`` on the live key array;
 2. a write-then-read round trip proving read-your-writes through the
-   socket (the ack means every read path already sees the write);
-3. a forked shared-memory read-worker pool, with one worker SIGKILLed
-   mid-run to show in-flight requests reroute with zero wrong answers.
+   socket (the ack means every connection already sees the write).
+
+To scale reads across processes, see ``examples/replica_quickstart.py``.
 
 Run:  PYTHONPATH=src python examples/net_quickstart.py
 """
 
 import asyncio
-import os
-import signal
 
 import numpy as np
 
@@ -69,26 +67,6 @@ async def main() -> None:
         finally:
             for c in clients:
                 await c.close()
-
-    # 3. shared-memory read workers + a mid-run SIGKILL
-    async with index.serve(addr=("127.0.0.1", 0), net_workers=2) as net:
-        async with Client(*net.address, timeout=60) as client:
-            live = index.engine.keys  # includes the insert above
-            queries = rng.choice(live, 64)
-            tasks = [asyncio.create_task(client.lookup(int(q)))
-                     for q in queries]
-            victim = net.pool._workers[0].proc.pid
-            os.kill(victim, signal.SIGKILL)  # mid-batch, on purpose
-            answers = await asyncio.gather(*tasks)
-            expected = np.searchsorted(live, queries, side="left")
-            bad = sum(int(a != w) for a, w in zip(answers, expected))
-            snap = await client.stats()
-            print(f"worker phase: killed pid {victim} mid-batch — "
-                  f"{len(tasks)} answers, {bad} wrong, "
-                  f"{snap['rerouted']} rerouted, "
-                  f"{snap['live_workers']}/{snap['net_workers']} "
-                  f"workers alive")
-            assert bad == 0
 
 
 if __name__ == "__main__":

@@ -510,9 +510,8 @@ class Index:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def serve(self, addr=None, *, net_workers: int = 0,
-              max_frame: int | None = None, replicate_addr=None,
-              **server_opts):
+    def serve(self, addr=None, *, max_frame: int | None = None,
+              replicate_addr=None, **server_opts):
         """A configured serving front end (in-process or TCP).
 
         Without ``addr`` this returns the asyncio
@@ -528,8 +527,7 @@ class Index:
         With ``addr=(host, port)`` the same server is wrapped in a
         :class:`~repro.net.server.NetServer` speaking the framed binary
         protocol (:mod:`repro.net`); ``port=0`` binds an ephemeral
-        port, ``net_workers=N`` forks N shared-memory read-worker
-        processes, and closing the net server closes the inner one::
+        port, and closing the net server closes the inner one::
 
             async with index.serve(addr=("127.0.0.1", 0)) as net:
                 async with repro.net.Client(*net.address) as client:
@@ -552,8 +550,6 @@ class Index:
             server_opts.setdefault("durability", self.durability)
         server = IndexServer(self.engine, **server_opts)
         if addr is None:
-            if net_workers:
-                raise ValueError("net_workers needs addr=(host, port)")
             if replicate_addr is not None:
                 raise ValueError(
                     "replicate_addr needs addr=(host, port) — replication "
@@ -567,7 +563,7 @@ class Index:
             rhost, rport = replicate_addr
             replicate_addr = (rhost, int(rport))
         return NetServer(
-            server, host, int(port), workers=net_workers,
+            server, host, int(port),
             max_frame=DEFAULT_MAX_FRAME if max_frame is None else max_frame,
             own_server=True, replicate_addr=replicate_addr,
         )

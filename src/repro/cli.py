@@ -29,9 +29,7 @@ reproduction can be poked without writing Python:
 * ``engine-update-bench`` — mixed read/write workload across backends
 * ``serve-bench``  — async serving: micro-batching + caching vs unbatched
 * ``serve``        — run the TCP serving front end (framed binary
-  protocol, optional shared-memory read-worker processes)
-* ``client-bench`` — network serving load matrix (transport × workers
-  × scenario), every response oracle-verified
+  protocol; scale reads with ``replicate`` + ``follow``)
 * ``autotune-bench`` — per-shard §3.9 auto-tuning vs fixed global configs
 * ``lint``         — project linter (RPR rules: dtype/lock/durability/
   async contracts), text or JSON findings, nonzero exit on violations
@@ -537,12 +535,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         name = args.dataset
 
     async def run() -> int:
-        net = index.serve(addr=(args.host, args.port),
-                          net_workers=args.net_workers)
+        net = index.serve(addr=(args.host, args.port))
         await net.start()
         host, port = net.address
-        print(f"serving {name} (n={len(index.engine):,}) on {host}:{port} "
-              f"with {args.net_workers} read worker(s)", flush=True)
+        print(f"serving {name} (n={len(index.engine):,}) on {host}:{port}",
+              flush=True)
         try:
             if args.probe:
                 from .net import Client
@@ -648,64 +645,6 @@ def _cmd_follow(args: argparse.Namespace) -> int:
         return asyncio.run(run())
     except KeyboardInterrupt:  # pragma: no cover - interactive stop
         return 0
-
-
-def _cmd_client_bench(args: argparse.Namespace) -> int:
-    from .bench.serve_net import run_serve_net_bench
-
-    if args.smoke:
-        args.n = min(args.n or 20_000, 20_000)
-        args.clients = min(args.clients, 4)
-        args.rounds = min(args.rounds, 2)
-        args.net_workers = sorted(
-            set(w for w in args.net_workers if w <= 2) | {0, 2})
-
-    payload = run_serve_net_bench(
-        n=args.n or 200_000,
-        dataset=args.dataset,
-        num_shards=args.shards,
-        model=args.model,
-        layer=None if args.layer == "none" else args.layer,
-        backend=args.backend,
-        clients=args.clients,
-        rounds=args.rounds,
-        worker_counts=tuple(args.net_workers),
-        scenarios=tuple(args.scenarios) if args.scenarios else None,
-        transports=tuple(args.transports),
-        max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
-        seed=args.seed if args.seed is not None else 42,
-        enforce_scaling=args.enforce_scaling,
-    )
-    table = [
-        [r["transport"],
-         "-" if r["workers"] is None else r["workers"],
-         r["scenario"], r["ops"], r["qps"], r["p50_us"], r["p99_us"],
-         r["cache_hit_rate"], r["mismatches"]]
-        for r in payload["rows"]
-    ]
-    print(format_table(
-        ["transport", "workers", "scenario", "ops", "qps", "p50 us",
-         "p99 us", "hit rate", "mismatches"],
-        table,
-        title=(f"network serving — {args.dataset}, "
-               f"n={payload['n']:,}, {payload['cpu_count']} core(s)"),
-        float_digits=2,
-    ))
-    scaling = payload["scaling"]
-    if scaling["ratio"] is not None:
-        state = ("enforced" if scaling["enforced"]
-                 else f"not enforced ({scaling.get('skipped')})")
-        print(f"read-heavy tcp scaling: {scaling['workers']} workers = "
-              f"{scaling['ratio']:.2f}x workers=0  [{state}]")
-    print("every response oracle-verified: zero mismatches")
-    if args.json_path:
-        import json
-        from pathlib import Path
-
-        Path(args.json_path).write_text(json.dumps(payload, indent=2))
-        print(f"wrote {args.json_path}")
-    return 0
 
 
 def _cmd_autotune_bench(args: argparse.Namespace) -> int:
@@ -1023,58 +962,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="address to bind (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=7421,
                    help="TCP port to bind (0 picks an ephemeral port)")
-    p.add_argument("--net-workers", type=int, default=0,
-                   help="shared-memory read-worker processes "
-                        "(0 = serve reads in-process)")
     p.add_argument("--probe", action="store_true",
                    help="after binding, run one TCP client round trip "
                         "against the server and exit (smoke mode)")
     _add_engine_options(p)
     _add_common(p)
     p.set_defaults(fn=_cmd_serve, shards=2)
-
-    from .bench.serve_net import SCENARIOS
-
-    p = sub.add_parser(
-        "client-bench",
-        help="network serving load matrix: (transport x workers x "
-             "scenario), every response oracle-verified",
-    )
-    p.add_argument("--dataset", default="uden64",
-                   help="dataset name (see `repro datasets`)")
-    p.add_argument("--backend", default="gapped",
-                   choices=["static", "gapped", "fenwick"],
-                   help="shard storage backend (default gapped: "
-                        "cheap writes)")
-    p.add_argument("--clients", type=int, default=8,
-                   help="concurrent client connections per cell")
-    p.add_argument("--rounds", type=int, default=8,
-                   help="write+read rounds per cell")
-    p.add_argument("--net-workers", type=int, nargs="*", default=[0, 2, 4],
-                   help="read-worker counts for the tcp transport")
-    p.add_argument("--scenarios", nargs="*", default=None,
-                   choices=sorted(SCENARIOS),
-                   help="scenario registry entries (default: all)")
-    p.add_argument("--transports", nargs="*", default=["inproc", "tcp"],
-                   choices=["inproc", "tcp"],
-                   help="transports to run (default: both)")
-    p.add_argument("--max-batch", type=int, default=256,
-                   help="micro-batch size bound")
-    p.add_argument("--max-wait-us", type=float, default=200.0,
-                   help="micro-batch window in microseconds")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   dest="json_path",
-                   help="also write the payload as a BENCH_serve.json "
-                        "artifact")
-    p.add_argument("--enforce-scaling", action="store_true",
-                   help="assert the multi-worker read-heavy QPS ratio "
-                        "(auto-skipped on too few cores, recorded "
-                        "either way)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny CI configuration (fast, still verified)")
-    _add_engine_options(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_client_bench, shards=2)
 
     p = sub.add_parser(
         "autotune-bench",

@@ -258,10 +258,6 @@ class CorrectedIndex:
             )
         return None
 
-    def lookup_batch_fast(self, queries: np.ndarray) -> np.ndarray:
-        """Alias for :meth:`lookup_batch_vectorized` (historical name)."""
-        return self.lookup_batch_vectorized(queries)
-
     # ------------------------------------------------------------------
     # accounting & tuning hooks
     # ------------------------------------------------------------------

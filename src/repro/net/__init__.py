@@ -1,8 +1,10 @@
-"""Networked serving: wire protocol, TCP front end, read-worker scale-out.
+"""Networked serving: wire protocol, TCP front end, pipelining client.
 
-The serving stack so far ends at :class:`~repro.serve.server.IndexServer`
-— in-process asyncio.  This package puts a network boundary and CPU
-scale-out around it:
+:class:`~repro.serve.server.IndexServer` is in-process asyncio.  This
+package puts a network boundary around it — and nothing else: one
+process serves, and reads scale out through
+:func:`repro.replica.follow` replicas, not through a second mechanism
+here.
 
 * :mod:`repro.net.protocol` — a length-prefixed binary frame codec
   (magic + version + u32 length, TLV payload) with an incremental
@@ -11,20 +13,17 @@ scale-out around it:
   them, never anywhere else.
 * :mod:`repro.net.server` — :class:`NetServer`, an asyncio TCP front
   end whose socket-read boundary feeds the
-  :class:`~repro.serve.batcher.MicroBatcher` *synchronously*: every
-  request decoded from one TCP read joins the current micro-batch with
-  no per-request task churn.
+  server's read core *synchronously*: every request decoded from one
+  TCP read joins the current micro-batch with no per-request task
+  churn, through the same admit/publish path in-process callers use.
 * :mod:`repro.net.client` — :class:`Client`, a thin async client with
   pipelining (request-id matched futures), per-request timeouts and
   reconnect-on-idempotent-read.
-* :mod:`repro.net.shm` / :mod:`repro.net.workers` — N read-worker
-  processes mapping one copy of the engine's key/slot arrays via
-  ``multiprocessing.shared_memory`` (rebuilt from the persisted segment
-  codecs), a single writer process owning mutations, and ``WriteEvent``
-  fan-out over per-worker control sockets.
+* :mod:`repro.net.ops` — which requests are worth micro-batching, and
+  the synchronous executor for the rest (vectors, scans, pings).
 
 Entry points: ``Index.serve(addr=...)`` (:mod:`repro.api`) and the CLI
-``serve`` / ``client-bench`` subcommands.
+``serve`` subcommand.
 """
 
 from .client import Client

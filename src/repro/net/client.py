@@ -10,9 +10,9 @@ range, range_keys, ping, stats) transparently reconnect and retry while
 writes surface the error — the caller must decide whether an insert
 whose ack was lost actually landed.
 
-Duplicate or unknown response ids are ignored: after a read worker dies
-mid-flight the server reroutes its in-flight requests, and the original
-worker may still have flushed an answer — reads are idempotent, so the
+Duplicate or unknown response ids are ignored — a safety check: a
+request that timed out (its future is gone) or was retried after a
+reconnect may still be answered late; reads are idempotent, so the
 first response wins and the echo is dropped.
 """
 
@@ -131,7 +131,7 @@ class Client:
             return
         fut = self._pending.pop(msg.get("id"), None)
         if fut is None or fut.done():
-            return  # duplicate after a reroute, or a timed-out request
+            return  # a late answer to a timed-out or retried request
         if msg.get("ok"):
             fut.set_result(msg.get("r"))
         else:
@@ -212,5 +212,5 @@ class Client:
         return await self._request({"op": "stats"}, idempotent=True)
 
     async def barrier(self) -> bool:
-        """Drain the batcher and every worker's event queue, then return."""
+        """Drain the server's batcher: earlier reads answer, then return."""
         return bool(await self._request({"op": "barrier"}, idempotent=True))

@@ -1,9 +1,8 @@
 """Asyncio TCP front end over :class:`~repro.serve.server.IndexServer`.
 
-The socket-read boundary *is* the batch boundary: every request decoded
-from one TCP read is submitted to the
-:class:`~repro.serve.batcher.MicroBatcher` synchronously via
-``submit_lookup``/``submit_range`` — no per-request task churn — and a
+The socket-read boundary *is* the batch boundary: every scalar read
+decoded from one TCP read is submitted to the server's micro-batcher
+synchronously — no per-request task, no second future — and a
 done-callback writes the response frame when the batch resolves.  One
 read syscall's worth of pipelined requests therefore becomes one
 executor dispatch, which is exactly how the in-process serving tier
@@ -20,8 +19,8 @@ op             fields / answer
 ``range_keys`` ``lo``, ``hi`` scalar → ndarray of keys
 ``insert``     ``key`` → owning shard id (durable on ack)
 ``delete``     ``key`` → shard id, or KeyError error frame
-``stats``      → ``ServerStats.snapshot()`` + per-conn/worker counters
-``barrier``    drain batcher + every worker's event queue → ``True``
+``stats``      → ``ServerStats.snapshot()`` + per-connection counters
+``barrier``    drain the batcher (pending reads answer first) → ``True``
 =============  ========================================================
 
 Responses are ``{"id", "ok": True, "r": ...}`` or ``{"id", "ok": False,
@@ -29,30 +28,24 @@ Responses are ``{"id", "ok": True, "r": ...}`` or ``{"id", "ok": False,
 prefix, undecodable TLV) answer one final error frame and close the
 connection; request-level errors fail only their own request.
 
-Scale-out: with ``workers=N`` a :class:`~repro.net.workers.WorkerPool`
-forks N read-worker processes over one shared-memory export of the
-engine (:mod:`repro.net.shm`); reads round-robin across live workers,
-writes stay in this process (the single writer) and are captured by a
-``WriteEvent`` listener **at the engine apply point** — so the replica
-event stream is in apply order even under concurrent connections —
-then flushed to each worker's control socket before the write is
-acknowledged, so a client that saw its write's ack reads its own write
-from any worker.  A dead worker's in-flight requests are rerouted to survivors
-(or answered inline); reads are idempotent, so a duplicate answer from
-the corpse is dropped by the client.
-
-Backpressure is inherited from the wrapped server: inline reads claim
-its ``max_inflight`` slots (the connection's read loop — and therefore
-the peer's TCP window — stalls once the server saturates), and worker
-dispatch is capped by a semaphore of the same size.
+This module owns framing and routing only.  How a scalar read is
+admitted, batched, cached and accounted is
+:class:`~repro.serve.server.IndexServer`'s read core
+(``admit``/``claim_slot``/``submit``/``publish``), the same one its
+in-process coroutines run — so backpressure is inherited: once
+``max_inflight`` slots are out, this connection's read loop — and
+therefore the peer's TCP window — stalls.  One process serves; to scale
+reads across processes or hosts, run :func:`repro.replica.follow`
+replicas fed by the leader's committed-WAL stream.
 """
 
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 
 from ..serve.server import IndexServer
-from .ops import READ_OPS, WRITE_OPS, error_response, execute_read
+from .ops import READ_OPS, WRITE_OPS, error_response, execute_read, scalar_read
 from .protocol import DEFAULT_MAX_FRAME, FrameDecoder, ProtocolError, encode_frame
 
 __all__ = ["NetServer"]
@@ -60,10 +53,6 @@ __all__ = ["NetServer"]
 
 class _CloseConnection(Exception):
     """Internal: stop this connection's read loop after a fatal frame."""
-
-
-def _is_vector(value) -> bool:
-    return isinstance(value, (list, tuple)) or hasattr(value, "dtype")
 
 
 class NetServer:
@@ -75,13 +64,10 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 0,
         max_frame: int = DEFAULT_MAX_FRAME,
         own_server: bool = False,
         replicate_addr: tuple[str, int] | None = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         if replicate_addr is not None and server.durability is None:
             raise ValueError(
                 "replicate_addr needs a durable index: build it with "
@@ -91,7 +77,6 @@ class NetServer:
         self.stats = server.stats
         self.host = host
         self.port = port
-        self.num_workers = workers
         self.max_frame = max_frame
         self._own_server = own_server
         self._replicate_addr = replicate_addr
@@ -99,22 +84,14 @@ class NetServer:
         #: started (``replicate_addr=...``); shares :attr:`stats`
         self.replication = None
         self._asyncio_server: asyncio.base_events.Server | None = None
-        self.pool = None
-        #: conn id -> live StreamWriter (worker responses route through it)
-        self._conn_writers: dict[int, asyncio.StreamWriter] = {}
+        self._conn_writers: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind, fork the worker pool (if any); returns ``(host, port)``."""
-        if self.num_workers > 0:
-            from .workers import WorkerPool
-
-            self.pool = WorkerPool(self, self.num_workers,
-                                   max_frame=self.max_frame)
-            await self.pool.start()
+        """Bind (and start replicating, if asked); returns ``(host, port)``."""
         if self._replicate_addr is not None:
             from ..replica.leader import ReplicationServer
 
@@ -141,7 +118,7 @@ class NetServer:
         await self._asyncio_server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, drop connections, stop workers (and the server)."""
+        """Stop accepting, drop connections (and close an owned server)."""
         if self.replication is not None:
             await self.replication.close()
             self.replication = None
@@ -149,7 +126,7 @@ class NetServer:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        for writer in list(self._conn_writers.values()):
+        for writer in self._conn_writers:
             writer.close()
         self._conn_writers.clear()
         for task in list(self._conn_tasks):
@@ -157,9 +134,6 @@ class NetServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
-        if self.pool is not None:
-            await self.pool.close()
-            self.pool = None
         if self._own_server:
             await self.server.close()
 
@@ -176,7 +150,7 @@ class NetServer:
     async def _on_connection(self, reader, writer) -> None:
         peer = writer.get_extra_info("peername")
         cid, conn = self.stats.open_connection(str(peer))
-        self._conn_writers[cid] = writer
+        self._conn_writers.add(writer)
         self._conn_tasks.add(asyncio.current_task())
         decoder = FrameDecoder(self.max_frame)
         try:
@@ -195,7 +169,7 @@ class NetServer:
                     })
                     break
                 for msg in msgs:
-                    await self._handle(cid, conn, writer, msg)
+                    await self._handle(conn, writer, msg)
                 await writer.drain()
         except _CloseConnection:
             pass
@@ -205,7 +179,7 @@ class NetServer:
             pass
         finally:
             self._conn_tasks.discard(asyncio.current_task())
-            self._conn_writers.pop(cid, None)
+            self._conn_writers.discard(writer)
             self.stats.close_connection(cid)
             writer.close()
             try:
@@ -214,7 +188,14 @@ class NetServer:
                 pass
 
     def _send(self, conn, writer, payload: dict) -> None:
-        """Frame + write one response; maintains the per-conn counters."""
+        """Frame + write one response; maintains the per-conn counters.
+
+        A connection that died while its answer was in flight simply
+        drops the answer — its slot was already released by
+        ``publish``, so nothing leaks.
+        """
+        if writer.is_closing():
+            return
         try:
             data = encode_frame(payload, self.max_frame)
         except ProtocolError as exc:
@@ -227,26 +208,12 @@ class NetServer:
         conn.bytes_out += len(data)
         if payload.get("ok") is False:
             conn.errors += 1
-        if not writer.is_closing():
-            writer.write(data)
-
-    def _send_to(self, cid: int, payload: dict) -> None:
-        """Deferred send by connection id (done-callbacks, worker relay).
-
-        A connection that died while its answer was in flight simply
-        drops the answer — its slot was already released, so nothing
-        leaks.
-        """
-        writer = self._conn_writers.get(cid)
-        conn = self.stats.connections.get(cid)
-        if writer is None or conn is None:
-            return
-        self._send(conn, writer, payload)
+        writer.write(data)
 
     # ------------------------------------------------------------------
     # request routing
     # ------------------------------------------------------------------
-    async def _handle(self, cid: int, conn, writer, msg) -> None:
+    async def _handle(self, conn, writer, msg) -> None:
         if not isinstance(msg, dict) or not isinstance(msg.get("op"), str):
             conn.protocol_errors += 1
             self._send(conn, writer, {
@@ -257,148 +224,64 @@ class NetServer:
         conn.requests += 1
         op = msg["op"]
         rid = msg.get("id")
-        if op in WRITE_OPS:
-            await self._handle_write(conn, writer, msg)
-        elif op == "stats":
-            snap = dict(self.stats.snapshot())
-            snap["net"] = self.stats.net_snapshot()
-            self._send(conn, writer, {"id": rid, "ok": True, "r": snap})
+        server = self.server
+        if op in READ_OPS or op == "stats":
+            scalar = scalar_read(msg)
+            if scalar is None:
+                # vector reads, range_keys, ping, stats: one synchronous
+                # answer (no suspension point between resolve and reply)
+                self._send(conn, writer,
+                           server.answer_inline(self._execute, msg))
+                return
+            answer = server.admit(*scalar)
+            if answer is not None:
+                self._send(conn, writer, {"id": rid, "ok": True, "r": answer})
+                return
+            wait = server.claim_slot()
+            if wait is not None:
+                await wait  # saturated: stall this connection's reads
+            try:
+                future, ticket = server.submit(*scalar)
+            except Exception as exc:
+                self._send(conn, writer, error_response(rid, exc))
+                return
+            # the socket-read boundary stays the batch boundary: no await
+            # here, the answer goes out when the batch resolves
+            future.add_done_callback(
+                partial(self._publish, conn, writer, rid, ticket))
+        elif op in WRITE_OPS:
+            conn.writes += 1
+            try:
+                key = msg["key"]
+                if op == "insert":
+                    shard = await server.insert(key)
+                else:
+                    shard = await server.delete(key)
+            except Exception as exc:
+                self._send(conn, writer, error_response(rid, exc))
+                return
+            self._send(conn, writer, {"id": rid, "ok": True, "r": shard})
         elif op == "barrier":
-            await self.server.drain()
-            if self.pool is not None:
-                await self.pool.barrier()
+            await server.drain()
             self._send(conn, writer, {"id": rid, "ok": True, "r": True})
-        elif op in READ_OPS:
-            if self.pool is not None and self.pool.alive_count > 0:
-                if await self.pool.dispatch(cid, msg):
-                    return
-            await self._inline_read(cid, conn, msg)
         else:
             self._send(conn, writer, error_response(
                 rid, ValueError(f"unknown op {op!r}")))
 
-    async def _handle_write(self, conn, writer, msg) -> None:
-        rid = msg.get("id")
-        conn.writes += 1
+    def _execute(self, executor, msg: dict) -> dict:
+        if msg["op"] == "stats":
+            snap = dict(self.stats.snapshot())
+            snap["net"] = self.stats.net_snapshot()
+            return {"id": msg.get("id"), "ok": True, "r": snap}
+        return execute_read(executor, msg)
+
+    def _publish(self, conn, writer, rid, ticket, future) -> None:
+        """Done-callback of a batched read: publish, then reply."""
         try:
-            key = msg["key"]
-            if msg["op"] == "insert":
-                shard = await self.server.insert(key)
-            else:
-                shard = await self.server.delete(key)
+            answer = self.server.publish(ticket, future)
+        except asyncio.CancelledError:
+            return
         except Exception as exc:
-            if self.pool is not None:
-                # the engine may have applied the write before the
-                # error (e.g. a failed durability ack): keep replicas
-                # converging rather than parking the captured event
-                await self.pool.flush_events()
             self._send(conn, writer, error_response(rid, exc))
             return
-        if self.pool is not None:
-            # flush BEFORE acknowledging: the pool's WriteEvent
-            # listener captured this write at the engine apply point
-            # (so concurrent handlers cannot reorder the replica
-            # stream), and once the client sees the ack every worker's
-            # control socket already carries the event — per-socket
-            # FIFO applies it before any read dispatched afterwards
-            # (read-your-writes)
-            await self.pool.flush_events()
-        self._send(conn, writer, {"id": rid, "ok": True, "r": shard})
-
-    # ------------------------------------------------------------------
-    # inline reads (workers=0, or every worker is dead)
-    # ------------------------------------------------------------------
-    async def _inline_read(self, cid: int, conn, msg: dict) -> None:
-        """Answer one read on this process via cache + micro-batcher."""
-        op = msg.get("op")
-        rid = msg.get("id")
-        server = self.server
-        if op == "lookup" and not _is_vector(msg.get("q")):
-            q = msg["q"]
-            try:
-                cached = server.cache.get_point(q)
-            except TypeError:  # unhashable garbage: let submit reject it
-                cached = None
-            if cached is not None:
-                server.stats.record_cache_hit()
-                self._send_to(cid, {"id": rid, "ok": True, "r": cached})
-                return
-            epoch = server._write_epoch
-            await self._claim_slot()
-            try:
-                fut = server.batcher.submit_lookup(q)
-            except Exception as exc:
-                server._release_slot()
-                self._send_to(cid, error_response(rid, exc))
-                return
-            server.stats.request_started()
-            fut.add_done_callback(
-                lambda f: self._finish_point(f, cid, rid, q, epoch))
-        elif op == "range" and not _is_vector(msg.get("lo")):
-            lo, hi = msg["lo"], msg["hi"]
-            try:
-                cached = server.cache.get_range(lo, hi)
-            except TypeError:
-                cached = None
-            if cached is not None:
-                server.stats.record_cache_hit()
-                self._send_to(cid, {"id": rid, "ok": True, "r": cached})
-                return
-            epoch = server._write_epoch
-            await self._claim_slot()
-            try:
-                fut = server.batcher.submit_range(lo, hi)
-            except Exception as exc:
-                server._release_slot()
-                self._send_to(cid, error_response(rid, exc))
-                return
-            server.stats.request_started()
-            fut.add_done_callback(
-                lambda f: self._finish_range(f, cid, rid, lo, hi, epoch))
-        else:
-            # vector reads, range_keys and ping: synchronous vectorised
-            # answer (no suspension point between resolve and reply)
-            server.stats.request_started()
-            try:
-                self._send_to(cid, execute_read(server.executor, msg))
-            finally:
-                server.stats.request_finished()
-
-    async def _claim_slot(self) -> None:
-        """Claim a backpressure slot; stalls this connection when full."""
-        server = self.server
-        if server._slots > 0:
-            server._slots -= 1
-        else:
-            await server._take_slot()
-
-    def _finish_point(self, fut, cid: int, rid, q, epoch: int) -> None:
-        server = self.server
-        server._release_slot()
-        server.stats.request_finished()
-        if fut.cancelled():
-            return
-        exc = fut.exception()
-        if exc is not None:
-            self._send_to(cid, error_response(rid, exc))
-            return
-        position = fut.result()
-        if epoch == server._write_epoch:  # no write raced the dispatch
-            server.cache.put_point(q, position)
-        self._send_to(cid, {"id": rid, "ok": True, "r": position})
-
-    def _finish_range(self, fut, cid: int, rid, lo, hi, epoch: int) -> None:
-        server = self.server
-        server._release_slot()
-        server.stats.request_finished()
-        if fut.cancelled():
-            return
-        exc = fut.exception()
-        if exc is not None:
-            self._send_to(cid, error_response(rid, exc))
-            return
-        first, last = fut.result()
-        count = last - first
-        if epoch == server._write_epoch:
-            server.cache.put_range(lo, hi, count)
-        self._send_to(cid, {"id": rid, "ok": True, "r": count})
+        self._send(conn, writer, {"id": rid, "ok": True, "r": answer})

@@ -174,11 +174,12 @@ class MicroBatcher:
     def submit_lookup(self, q) -> asyncio.Future:
         """Queue a lookup, returning its future *synchronously*.
 
-        The network front end (:mod:`repro.net.server`) calls this
-        straight from its socket-read loop: every request decoded from
-        one TCP read joins the current batch without an intervening
-        task switch, so one read syscall's worth of pipelined requests
-        becomes one executor dispatch.
+        :meth:`IndexServer.submit <repro.serve.server.IndexServer.submit>`
+        calls this for in-process coroutines and, through the network
+        front end's socket-read loop, for wire frames: every request
+        decoded from one TCP read joins the current batch without an
+        intervening task switch, so one read syscall's worth of
+        pipelined requests becomes one executor dispatch.
         """
         check_query(q)
         return self._submit(Request("lookup", q))

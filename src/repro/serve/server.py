@@ -28,12 +28,23 @@ executor; beyond that, new requests park on a FIFO of waiter events
 queue without bound.  Claiming a free slot is a plain counter
 decrement — the await machinery only engages once the server
 saturates.
+
+One read path: how a scalar read is admitted (lazy timers, cache
+probe, slot), answered (micro-batcher) and published (slot release,
+epoch-guarded cache fill, stats) is decided by four synchronous
+methods — :meth:`IndexServer.admit`, :meth:`~IndexServer.claim_slot`,
+:meth:`~IndexServer.submit`, :meth:`~IndexServer.publish` — and by
+nothing else.  The in-process coroutines await the batcher future and
+publish inline; the TCP front end (:mod:`repro.net.server`) attaches
+``publish`` as the future's done-callback.  Neither path allocates a
+task or a second future per request.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections import deque
+from collections.abc import Awaitable
 
 import numpy as np
 
@@ -102,10 +113,10 @@ class IndexServer:
         self._checkpoint_task: asyncio.Task | None = None
         #: the exception that stopped the checkpoint timer, if any
         self.checkpoint_error: Exception | None = None
-        # the in-flight leader group commit concurrent writers piggyback
-        # on — one fsync (off-loop) acknowledges every write that
-        # appended before it ran
-        self._commit_task: asyncio.Task | None = None
+        # group commit: while one fsync runs off-loop, every writer
+        # that wants an acknowledgment parks a future here
+        self._commit_running = False
+        self._commit_waiters: list[asyncio.Future] = []
         self._write_epoch = 0
         # backpressure slots: a plain counter (sync fast path — no
         # coroutine allocation per request) plus a FIFO of waiter
@@ -116,33 +127,123 @@ class IndexServer:
         self._closed = False
 
     # ------------------------------------------------------------------
-    # reads
+    # the read core: admit -> claim_slot -> submit -> publish
     # ------------------------------------------------------------------
-    async def lookup(self, q) -> int:
-        """Global lower-bound position of ``q`` (cache, then micro-batch)."""
+    def admit(self, kind: str, lo, hi=None):
+        """Admit one scalar read; returns its cached answer or ``None``.
+
+        ``kind`` is ``"lookup"`` (rank of ``lo``), ``"range"``
+        (cardinality of ``lo <= key < hi``) or ``"positions"`` (the raw
+        ``(first, last)`` pair — never cached).  Starts the lazy
+        background timers; a hit is accounted and final, a miss goes on
+        to :meth:`claim_slot` and :meth:`submit`.
+        """
+        self._maybe_start_background_timers()
+        try:
+            if kind == "lookup":
+                cached = self.cache.get_point(lo)
+            elif kind == "range":
+                cached = self.cache.get_range(lo, hi)
+            else:
+                return None
+        except TypeError:  # unhashable garbage: submit() rejects it
+            return None
+        if cached is not None:
+            self.stats.record_cache_hit()
+        return cached
+
+    def claim_slot(self) -> Awaitable[None] | None:
+        """Claim a ``max_inflight`` slot for an admitted miss.
+
+        Returns ``None`` when a slot was free (the uncontended path: a
+        counter decrement, nothing allocated), else an awaitable the
+        caller must await before :meth:`submit` — which is what stalls
+        a coroutine client, or a TCP connection's read loop and with it
+        the peer's send window, once the server saturates.
+        """
+        if self._slots > 0:
+            self._slots -= 1
+            return None
+        return self._take_slot()
+
+    def submit(self, kind: str, lo, hi=None) -> tuple[asyncio.Future, tuple]:
+        """Queue a slot-holding read on the micro-batcher.
+
+        Returns the batcher future and the ticket :meth:`publish` needs
+        (the request plus the write epoch it was submitted under).  A
+        value the batcher rejects gives the slot back and raises, so
+        one bad request fails only itself.
+        """
+        try:
+            if kind == "lookup":
+                future = self.batcher.submit_lookup(lo)
+            else:
+                future = self.batcher.submit_range(lo, hi)
+        except BaseException:
+            self._release_slot()
+            raise
+        self.stats.request_started()
+        return future, (kind, lo, hi, self._write_epoch)
+
+    def publish(self, ticket: tuple, future: asyncio.Future):
+        """Release the slot of a finished read and publish its answer.
+
+        ``future`` is the done batcher future of :meth:`submit`.  The
+        answer is cached only if no write landed since the submit (the
+        epoch guard); a failed or cancelled batch re-raises here, after
+        the slot is back.
+        """
+        self._release_slot()
+        self.stats.request_finished()
+        result = future.result()
+        kind, lo, hi, epoch = ticket
+        if kind == "lookup":
+            if epoch == self._write_epoch:  # no write raced the dispatch
+                self.cache.put_point(lo, result)
+            return result
+        if kind == "positions":
+            return result
+        count = result[1] - result[0]
+        if epoch == self._write_epoch:
+            self.cache.put_range(lo, hi, count)
+        return count
+
+    def answer_inline(self, fn, *args):
+        """Answer ``fn(executor, *args)`` synchronously on the loop.
+
+        For reads that have nothing to gain from the micro-batcher — a
+        vector of queries is already a batch, a scan's answer is
+        unbounded — with no suspension point between resolve and reply.
+        """
         self._maybe_start_background_timers()
         self.stats.request_started()
         try:
-            cached = self.cache.get_point(q)
-            if cached is not None:
-                self.stats.record_cache_hit()
-                return cached
-            epoch = self._write_epoch
-            if self._slots > 0:  # uncontended: skip the await machinery
-                self._slots -= 1
-            else:
-                await self._take_slot()
-            try:
-                position = await self.batcher.lookup(q)
-            finally:
-                self._release_slot()
-            if epoch == self._write_epoch:  # no write raced the dispatch
-                self.cache.put_point(q, position)
-            return position
+            return fn(self.executor, *args)
         finally:
             self.stats.request_finished()
 
-    async def range(self, lo, hi) -> int:
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
+    async def _read(self, kind: str, lo, hi=None):
+        answer = self.admit(kind, lo, hi)
+        if answer is not None:
+            return answer
+        wait = self.claim_slot()
+        if wait is not None:
+            await wait
+        future, ticket = self.submit(kind, lo, hi)
+        try:
+            await future
+        finally:
+            answer = self.publish(ticket, future)
+        return answer
+
+    def lookup(self, q) -> Awaitable[int]:
+        """Global lower-bound position of ``q`` (cache, then micro-batch)."""
+        return self._read("lookup", q)
+
+    def range(self, lo, hi) -> Awaitable[int]:
         """Cardinality of ``lo <= key < hi`` (cache, then micro-batch).
 
         Range answers are served as cardinalities — value-domain, hence
@@ -151,44 +252,11 @@ class IndexServer:
         exact.  Use :meth:`range_positions` for the raw bounds and
         :meth:`range_keys` for the materialised keys.
         """
-        self._maybe_start_background_timers()
-        self.stats.request_started()
-        try:
-            cached = self.cache.get_range(lo, hi)
-            if cached is not None:
-                self.stats.record_cache_hit()
-                return cached
-            epoch = self._write_epoch
-            if self._slots > 0:
-                self._slots -= 1
-            else:
-                await self._take_slot()
-            try:
-                first, last = await self.batcher.range(lo, hi)
-            finally:
-                self._release_slot()
-            count = last - first
-            if epoch == self._write_epoch:
-                self.cache.put_range(lo, hi, count)
-            return count
-        finally:
-            self.stats.request_finished()
+        return self._read("range", lo, hi)
 
-    async def range_positions(self, lo, hi) -> tuple[int, int]:
+    def range_positions(self, lo, hi) -> Awaitable[tuple[int, int]]:
         """``[first, last)`` global positions of a range (uncached)."""
-        self._maybe_start_background_timers()
-        self.stats.request_started()
-        try:
-            if self._slots > 0:
-                self._slots -= 1
-            else:
-                await self._take_slot()
-            try:
-                return await self.batcher.range(lo, hi)
-            finally:
-                self._release_slot()
-        finally:
-            self.stats.request_finished()
+        return self._read("positions", lo, hi)
 
     async def range_keys(self, lo, hi):
         """Materialised keys in ``lo <= key < hi`` (the served scan).
@@ -205,29 +273,17 @@ class IndexServer:
         the rare raced request retries, falling back to a synchronous
         in-loop scan under sustained write pressure.
         """
-        self._maybe_start_background_timers()
-        self.stats.request_started()
-        try:
-            for _ in range(4):
-                epoch = self._write_epoch
-                if self._slots > 0:
-                    self._slots -= 1
-                else:
-                    await self._take_slot()
-                try:
-                    first, last = await self.batcher.range(lo, hi)
-                finally:
-                    self._release_slot()
-                if epoch == self._write_epoch:
-                    # no await between the check and the slice: the keys
-                    # cannot move under a single event loop
-                    return self.index.keys[first:last]
-            # writes keep racing the batched path: answer synchronously
-            # (exact — no suspension point between resolve and slice)
-            first_arr, last_arr = self.executor.range_batch([lo], [hi])
-            return self.index.keys[int(first_arr[0]):int(last_arr[0])]
-        finally:
-            self.stats.request_finished()
+        for _ in range(4):
+            epoch = self._write_epoch
+            first, last = await self._read("positions", lo, hi)
+            if epoch == self._write_epoch:
+                # no await between the check and the slice: the keys
+                # cannot move under a single event loop
+                return self.index.keys[first:last]
+        # writes keep racing the batched path: answer synchronously
+        # (exact — no suspension point between resolve and slice)
+        first_arr, last_arr = self.executor.range_batch([lo], [hi])
+        return self.index.keys[int(first_arr[0]):int(last_arr[0])]
 
     # ------------------------------------------------------------------
     # writes
@@ -313,31 +369,51 @@ class IndexServer:
 
         ``sync="always"`` already fsynced inside the write call and
         ``sync="async"`` promises nothing, so only ``"group"`` waits:
-        the first writer to arrive becomes the *leader* and runs one
-        ``commit()`` in a worker thread; writers landing meanwhile
-        await the same task — their records were appended before the
-        fsync, so the leader's commit acknowledges them too.  This is
-        the group in group commit: N concurrent writers, one fsync.
+        the first writer to arrive becomes the *leader* and starts one
+        ``commit()`` in a worker thread; writers landing meanwhile park
+        beside it — records appended before the fsync ran are
+        acknowledged by it, later ones by the next.  This is the group
+        in group commit: N concurrent writers, one fsync.
+
+        A pass of a loaded event loop runs every ready reader before it
+        gets to anything else, so the acknowledgment is kept to two of
+        them (the thread's callback, the writer's wake-up): no task
+        around the commit and no future between it and its waiters.
         """
         mgr = self.durability
         if mgr is None or mgr.sync != "group":
             return
         lsn = mgr.last_lsn
+        loop = asyncio.get_running_loop()
         while mgr.durable_lsn < lsn:
-            if self._commit_task is None:
-                self._commit_task = asyncio.get_running_loop().create_task(
-                    self._group_commit()
-                )
-            await asyncio.shield(self._commit_task)
+            acked = loop.create_future()
+            self._commit_waiters.append(acked)
+            if not self._commit_running:
+                self._commit_running = True
+                loop.run_in_executor(None, self._commit_off_loop, loop)
+            await acked
 
-    async def _group_commit(self) -> None:
+    def _commit_off_loop(self, loop) -> None:
+        """Worker thread: one group fsync, reported straight to the loop."""
+        error = None
         try:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.durability.commit
-            )
+            self.durability.commit()
+        except Exception as exc:
+            error = exc
+        loop.call_soon_threadsafe(self._commit_done, error)
+
+    def _commit_done(self, error: Exception | None) -> None:
+        self._commit_running = False
+        waiters, self._commit_waiters = self._commit_waiters, []
+        if error is None:
             self.stats.group_commits += 1
-        finally:
-            self._commit_task = None
+        for acked in waiters:
+            if acked.done():  # its writer was cancelled meanwhile
+                continue
+            if error is None:
+                acked.set_result(None)
+            else:
+                acked.set_exception(error)
 
     # ------------------------------------------------------------------
     # background maintenance
@@ -353,68 +429,49 @@ class IndexServer:
             return
         if self.retune_interval is not None and self._retune_task is None:
             self._retune_task = asyncio.get_running_loop().create_task(
-                self._retune_loop()
+                self._periodic("retune", self.retune_interval)
             )
         if (
             self.checkpoint_interval is not None
             and self._checkpoint_task is None
         ):
+            # an index drained to empty skips the pass — the WAL alone
+            # keeps it recoverable
             self._checkpoint_task = asyncio.get_running_loop().create_task(
-                self._checkpoint_loop()
+                self._periodic("checkpoint", self.checkpoint_interval,
+                               skip=lambda: len(self.index) == 0)
             )
 
-    async def _retune_loop(self) -> None:
-        """The scheduled maintenance pass: sleep, retune, repeat.
+    async def _periodic(self, name: str, interval: float, skip=None) -> None:
+        """One scheduled maintenance timer: sleep, ``self.<name>()``, repeat.
 
-        Runs the same drain-then-retune sequence an explicit
-        :meth:`retune` call does, so batches never straddle shard
-        rebuilds; each pass is counted in
-        ``stats.background_retunes`` (on top of ``stats.retunes``).
-        A failing pass stops the timer and is surfaced as
-        ``stats.background_retune_errors`` (and ``retune_error``) —
+        Each pass runs exactly what the explicit :meth:`retune` /
+        :meth:`checkpoint` call runs (drain first, so batches never
+        straddle the pass) and is counted in
+        ``stats.background_<name>s``.  One error policy: a failing pass
+        is recorded in ``<name>_error``, bumps
+        ``stats.background_<name>_errors`` and stops *this* timer —
         maintenance must never take the serving path down with it.
         Cancelled — after a final drain — by :meth:`close`.
         """
+        stats = self.stats
         while not self._closed:
-            await asyncio.sleep(self.retune_interval)
+            await asyncio.sleep(interval)
             if self._closed:
                 return
-            try:
-                await self.retune()
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                self.retune_error = exc
-                self.stats.background_retune_errors += 1
-                return
-            self.stats.background_retunes += 1
-
-    async def _checkpoint_loop(self) -> None:
-        """The scheduled durability pass: sleep, checkpoint, repeat.
-
-        Mirrors :meth:`_retune_loop`: each pass runs the same
-        incremental flush an explicit :meth:`checkpoint` call does and
-        is counted in ``stats.background_checkpoints``; a failing pass
-        stops the timer and is surfaced as ``checkpoint_error`` (and
-        ``stats.background_checkpoint_errors``) rather than taking the
-        serving path down.  An index drained to empty simply skips the
-        pass — the WAL alone keeps it recoverable.
-        """
-        while not self._closed:
-            await asyncio.sleep(self.checkpoint_interval)
-            if self._closed:
-                return
-            if len(self.index) == 0:
+            if skip is not None and skip():
                 continue
             try:
-                await self.checkpoint()
+                await getattr(self, name)()
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
-                self.checkpoint_error = exc
-                self.stats.background_checkpoint_errors += 1
+                setattr(self, f"{name}_error", exc)
+                errors = f"background_{name}_errors"
+                setattr(stats, errors, getattr(stats, errors) + 1)
                 return
-            self.stats.background_checkpoints += 1
+            passes = f"background_{name}s"
+            setattr(stats, passes, getattr(stats, passes) + 1)
 
     def _on_write(self, event: WriteEvent) -> None:
         if event.kind in ("refresh", "retune"):
@@ -451,10 +508,12 @@ class IndexServer:
 
     def _release_slot(self) -> None:
         self._slots += 1
-        self._wake_next_waiter()
+        if self._slot_waiters:  # only a saturated server has any
+            self._wake_next_waiter()
 
     async def drain(self) -> None:
         """Flush the micro-batch queue without writing anything."""
+        self._maybe_start_background_timers()
         await self.batcher.drain()
 
     async def close(self) -> None:
@@ -478,10 +537,11 @@ class IndexServer:
             # (its failure is recorded in retune_error /
             # checkpoint_error) must not abort the shutdown below
             await asyncio.gather(*live, return_exceptions=True)
-        commit = self._commit_task
-        if commit is not None:
+        if self._commit_running:
             # let an in-flight group commit acknowledge its writers
-            await asyncio.gather(commit, return_exceptions=True)
+            done = asyncio.get_running_loop().create_future()
+            self._commit_waiters.append(done)
+            await asyncio.gather(done, return_exceptions=True)
         await self.batcher.drain()
         if self.durability is not None:
             # final group fsync: every applied write is durable on close

@@ -11,17 +11,23 @@ renders the lot into one flat dict the CLI and benchmarks print.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+#: closed-connection records :class:`ServerStats` retains (open ones are
+#: always kept); bounds the ``stats`` wire frame under client churn
+MAX_CLOSED_CONNECTIONS = 1024
 
 
 @dataclass
 class ConnectionStats:
     """Per-connection counters the network front end maintains.
 
-    One record per accepted TCP connection (kept after close so a
-    post-mortem snapshot still shows what the peer did).  ``errors``
+    One record per accepted TCP connection, kept after close so a
+    post-mortem snapshot still shows what the peer did — up to
+    :data:`MAX_CLOSED_CONNECTIONS` closed records; older ones are
+    folded into the roll-up totals.  ``errors``
     counts per-request failures answered with an error frame;
     ``protocol_errors`` counts framing violations, which also close
     the connection.
@@ -45,29 +51,6 @@ class ConnectionStats:
             "protocol_errors": self.protocol_errors,
             "bytes_in": self.bytes_in, "bytes_out": self.bytes_out,
             "open": self.open,
-        }
-
-
-@dataclass
-class WorkerStats:
-    """Per-read-worker counters the dispatcher maintains.
-
-    ``rerouted`` counts frames re-dispatched elsewhere after the worker
-    died mid-flight; ``events`` counts write events fanned out to it.
-    """
-
-    pid: int = 0
-    dispatched: int = 0
-    completed: int = 0
-    rerouted: int = 0
-    events: int = 0
-    alive: bool = True
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "pid": self.pid, "dispatched": self.dispatched,
-            "completed": self.completed, "rerouted": self.rerouted,
-            "events": self.events, "alive": self.alive,
         }
 
 
@@ -107,14 +90,6 @@ class FollowerStats:
         }
 
 
-@dataclass
-class _NetStats:
-    """Roll-up of the per-connection / per-worker maps."""
-
-    connections: dict = field(default_factory=dict)
-    workers: dict = field(default_factory=dict)
-
-
 class ServerStats:
     """Aggregated serving metrics (latency ring, histograms, counters)."""
 
@@ -136,9 +111,11 @@ class ServerStats:
         self.checkpoints = 0
         self.background_checkpoints = 0
         self.background_checkpoint_errors = 0
-        #: per-connection / per-worker counter maps (network front end)
+        #: per-connection counter map (network front end): every open
+        #: connection plus the most recent closed ones
         self.connections: dict[int, ConnectionStats] = {}
-        self.workers: dict[int, WorkerStats] = {}
+        self._closed_connections: deque = deque()
+        self._evicted_protocol_errors = 0
         #: per-follower counter map (replication tier)
         self.followers: dict[int, FollowerStats] = {}
         self._next_conn_id = 0
@@ -156,16 +133,20 @@ class ServerStats:
         return conn_id, rec
 
     def close_connection(self, conn_id: int) -> None:
-        """Mark a connection closed (its counters stay readable)."""
-        rec = self.connections.get(conn_id)
-        if rec is not None:
-            rec.open = False
+        """Mark a connection closed (its counters stay readable).
 
-    def register_worker(self, worker_id: int, pid: int) -> WorkerStats:
-        """Register a read-worker process under its dispatcher id."""
-        rec = WorkerStats(pid=pid)
-        self.workers[worker_id] = rec
-        return rec
+        Beyond :data:`MAX_CLOSED_CONNECTIONS` closed records the oldest
+        is evicted and its counters folded into the roll-up, so the
+        snapshot totals stay exact while the map stays bounded.
+        """
+        rec = self.connections.get(conn_id)
+        if rec is None or not rec.open:
+            return
+        rec.open = False
+        self._closed_connections.append(conn_id)
+        if len(self._closed_connections) > MAX_CLOSED_CONNECTIONS:
+            evicted = self.connections.pop(self._closed_connections.popleft())
+            self._evicted_protocol_errors += evicted.protocol_errors
 
     def open_follower(self, peer: str) -> tuple[int, FollowerStats]:
         """Register a subscribed replica; returns (id, its counters)."""
@@ -272,15 +253,11 @@ class ServerStats:
             "checkpoints": self.checkpoints,
             "background_checkpoints": self.background_checkpoints,
             "background_checkpoint_errors": self.background_checkpoint_errors,
-            "connections": len(self.connections),
-            "open_connections": sum(
-                1 for c in self.connections.values() if c.open),
-            "protocol_errors": sum(
+            "connections": self._next_conn_id,
+            "open_connections": (
+                len(self.connections) - len(self._closed_connections)),
+            "protocol_errors": self._evicted_protocol_errors + sum(
                 c.protocol_errors for c in self.connections.values()),
-            "net_workers": len(self.workers),
-            "live_workers": sum(
-                1 for w in self.workers.values() if w.alive),
-            "rerouted": sum(w.rerouted for w in self.workers.values()),
             "followers": len(self.followers),
             "connected_followers": sum(
                 1 for f in self.followers.values() if f.connected),
@@ -299,12 +276,10 @@ class ServerStats:
         }
 
     def net_snapshot(self) -> dict[str, object]:
-        """Per-connection and per-worker counter maps, keyed by id."""
+        """Per-connection and per-follower counter maps, keyed by id."""
         return {
             "connections": {
                 cid: c.to_dict() for cid, c in self.connections.items()},
-            "workers": {
-                wid: w.to_dict() for wid, w in self.workers.items()},
             "followers": {
                 fid: f.to_dict() for fid, f in self.followers.items()},
         }

@@ -536,6 +536,56 @@ class TestServeDurable:
         assert 1 <= snap["group_commits"] < 200
         mgr.close()
 
+    def test_group_commit_outlives_a_cancelled_writer(self, tmp_path):
+        index = build(make_keys(2000))
+        mgr = DurabilityManager.create(index, tmp_path / "db", sync="group")
+        gate = threading.Event()
+        commit = mgr.commit
+
+        def gated_commit():
+            gate.wait(5)
+            return commit()
+
+        async def run():
+            async with IndexServer(index, durability=mgr) as server:
+                mgr.commit = gated_commit
+                a, b = fresh_keys(2, seed=47)
+                leader = asyncio.ensure_future(server.insert(a))
+                rider = asyncio.ensure_future(server.insert(b))
+                await asyncio.sleep(0.05)  # both parked on the fsync
+                leader.cancel()
+                gate.set()
+                await rider  # the leader's fsync still acknowledges it
+                assert mgr.durable_lsn >= mgr.last_lsn
+                assert leader.cancelled()
+
+        asyncio.run(run())
+        mgr.close()
+
+    def test_failed_group_commit_fails_its_writers_only(self, tmp_path):
+        index = build(make_keys(2000))
+        mgr = DurabilityManager.create(index, tmp_path / "db", sync="group")
+        commit = mgr.commit
+
+        def broken_commit():
+            raise OSError("disk full")
+
+        async def run():
+            async with IndexServer(index, durability=mgr) as server:
+                mgr.commit = broken_commit
+                a, b, c = fresh_keys(3, seed=53)
+                results = await asyncio.gather(
+                    server.insert(a), server.insert(b),
+                    return_exceptions=True)
+                assert [type(r) for r in results] == [OSError, OSError]
+                mgr.commit = commit
+                await server.insert(c)  # the next group commits normally
+                assert mgr.durable_lsn >= mgr.last_lsn
+                assert server.stats.group_commits == 1
+
+        asyncio.run(run())
+        mgr.close()
+
     def test_checkpoint_interval_requires_durability(self):
         index = build(make_keys(200))
         with pytest.raises(ValueError, match="durability"):

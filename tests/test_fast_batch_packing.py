@@ -33,7 +33,7 @@ def test_fast_batch_matches_scalar(dataset):
     model = InterpolationModel(keys)
     index = CorrectedIndex(data, model, ShiftTable.build(keys, model))
     qs = queries_mixed(keys)
-    fast = index.lookup_batch_fast(qs)
+    fast = index.lookup_batch_vectorized(qs)
     assert np.array_equal(fast, data.lower_bound_batch(qs))
 
 
@@ -43,7 +43,7 @@ def test_fast_batch_nonmonotone_model_still_exact():
     model = RMIModel(keys, num_leaves=128, root="cubic")
     index = CorrectedIndex(data, model, ShiftTable.build(keys, model))
     qs = queries_mixed(keys, count=400)
-    assert np.array_equal(index.lookup_batch_fast(qs),
+    assert np.array_equal(index.lookup_batch_vectorized(qs),
                           data.lower_bound_batch(qs))
 
 
@@ -54,7 +54,7 @@ def test_fast_batch_falls_back_without_r_layer():
     for layer in (None, CompactShiftTable.build(keys, model)):
         index = CorrectedIndex(data, model, layer)
         qs = queries_mixed(keys, count=150)
-        assert np.array_equal(index.lookup_batch_fast(qs),
+        assert np.array_equal(index.lookup_batch_vectorized(qs),
                               data.lower_bound_batch(qs))
 
 
@@ -65,7 +65,7 @@ def test_property_fast_batch(keys, seed):
     model = InterpolationModel(keys)
     index = CorrectedIndex(data, model, ShiftTable.build(keys, model))
     qs = queries_mixed(keys, count=24, seed=seed)
-    assert np.array_equal(index.lookup_batch_fast(qs),
+    assert np.array_equal(index.lookup_batch_vectorized(qs),
                           data.lower_bound_batch(qs))
 
 

@@ -1,11 +1,8 @@
-"""Fault injection for the network serving tier (ISSUE 9 satellite).
+"""Fault injection and coherence for the network serving tier.
 
-Two failure families, both required to produce *zero wrong answers*:
-
-* a read-worker process SIGKILLed while requests are in flight — the
-  dispatcher must reroute its work to survivors (or answer inline once
-  none remain) and every rerouted request must still match the
-  ``np.searchsorted`` oracle;
+* writes the wire never saw (applied straight on the engine) and float
+  keys must be exactly visible — and cache-coherent — to the next wire
+  read;
 * a client SIGKILLed mid-pipeline (a real subprocess, as in the PR-6
   durability crash tests) — the server must drop the orphaned answers
   and release every backpressure slot it claimed for them.
@@ -26,7 +23,6 @@ import pytest
 
 import repro
 from repro.net import Client
-from repro.net.protocol import ProtocolError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,160 +40,33 @@ def _oracle(keys, qs):
 
 
 # ----------------------------------------------------------------------
-# read-worker death
-# ----------------------------------------------------------------------
-def test_sigkill_worker_mid_batch_reroutes_with_zero_wrong_answers(keys):
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                assert await client.ping() is True
-                victim = net.pool._workers[0]
-                # freeze the victim so its dispatched requests stay
-                # in flight, pipeline a burst, then murder it
-                os.kill(victim.proc.pid, signal.SIGSTOP)
-                rng = np.random.default_rng(3)
-                qs = [int(k) for k in rng.choice(keys, 48)]
-                tasks = [asyncio.create_task(client.lookup(q)) for q in qs]
-                for _ in range(100):  # until the victim holds work
-                    await asyncio.sleep(0.01)
-                    if victim.inflight:
-                        break
-                assert victim.inflight, "no requests reached the victim"
-                os.kill(victim.proc.pid, signal.SIGKILL)
-                answers = await asyncio.wait_for(
-                    asyncio.gather(*tasks), timeout=60)
-                assert answers == _oracle(keys, qs)  # zero wrong answers
-                snap = await client.stats()
-                assert snap["live_workers"] == 1
-                assert snap["rerouted"] >= 1
-                # the survivor still applies fresh write events
-                fresh = int(keys[-1]) + 1000
-                await client.insert(fresh)
-                assert await client.lookup(fresh) == len(keys)
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_all_workers_dead_falls_back_inline(keys):
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                assert await client.ping() is True
-                pids = [w.proc.pid for w in net.pool._workers]
-                os.kill(pids[0], signal.SIGSTOP)
-                qs = [int(k) for k in keys[::500]]
-                tasks = [asyncio.create_task(client.lookup(q)) for q in qs]
-                await asyncio.sleep(0.05)
-                for pid in pids:  # no survivors at all
-                    os.kill(pid, signal.SIGKILL)
-                answers = await asyncio.wait_for(
-                    asyncio.gather(*tasks), timeout=60)
-                assert answers == _oracle(keys, qs)
-                snap = await client.stats()
-                assert snap["live_workers"] == 0
-                # brand-new reads are answered inline by the parent
-                assert await client.lookup(int(keys[7])) == 7
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_control_handler_error_marks_worker_dead(keys):
-    # anything the parent's per-message handler raises must count as a
-    # worker death (reroute + slot release), never leak the worker as
-    # alive with its in-flight requests stuck forever
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                assert await client.ping() is True
-
-                def boom(worker, msg):
-                    raise KeyError("seq")  # a control frame the handler chokes on
-
-                net.pool._on_worker_msg = boom
-                # the next read's response blows up both reader loops
-                # in turn; the request must still be answered (reroute,
-                # then inline once no workers remain)
-                assert await client.lookup(int(keys[5])) == 5
-                for _ in range(500):
-                    if net.pool.alive_count == 0:
-                        break
-                    await asyncio.sleep(0.01)
-                assert net.pool.alive_count == 0
-                # no leaked semaphore slots: fresh reads answer inline
-                qs = [int(k) for k in keys[::1000]]
-                answers = await asyncio.gather(
-                    *[client.lookup(q) for q in qs])
-                assert answers == _oracle(keys, qs)
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_oversized_worker_answer_fails_request_not_pool(keys):
-    # a response frame above max_frame must fail its own request with
-    # an error frame, not ProtocolError the worker process to death —
-    # death would reroute the same request and cascade through the pool
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2,
-                          max_frame=2048)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                lo, hi = int(keys[0]), int(keys[-1]) + 1
-                for _ in range(4):  # round-robins across both workers
-                    with pytest.raises(ProtocolError, match="limit"):
-                        await client.range_keys(lo, hi)  # 6000 keys >> 2KB
-                snap = await client.stats()
-                assert snap["live_workers"] == 2  # nobody died
-                qs = [int(k) for k in keys[::500]]
-                answers = await asyncio.gather(
-                    *[client.lookup(q) for q in qs])
-                assert answers == _oracle(keys, qs)
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# replication event stream (capture at the engine apply point)
+# write visibility on the wire read path
 # ----------------------------------------------------------------------
 def test_event_stream_replays_in_engine_apply_order(keys):
-    # the pool's WriteEvent listener captures mutations where the
-    # engine applies them, so even writes that never pass through a
-    # connection handler replicate — and same-key insert/delete/insert
-    # must land the replica on "present once", which any reordering or
-    # dropped event would break
+    # the server's WriteEvent listener fires where the engine applies a
+    # mutation, so even writes that never pass through a connection
+    # handler invalidate the cache — same-key insert/delete/insert must
+    # land the next wire read on "present once", and an answer cached
+    # before the writes must not survive them
     async def scenario():
         index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=1)
+        net = index.serve(addr=("127.0.0.1", 0))
         await net.start()
         try:
             fresh = int(keys[-1]) + 11
-            eng = net.server.index
-            eng.insert(fresh)
-            eng.delete(fresh)
-            eng.insert(fresh)
             async with Client(*net.address, timeout=60) as client:
-                await client.barrier()  # flushes the queued events
+                assert await client.range(fresh, fresh + 1) == 0
+                assert await client.lookup(fresh + 1) == len(keys)
+                # repeats are served from the cache
+                assert await client.range(fresh, fresh + 1) == 0
+                assert (await client.stats())["cache_hit_rate"] > 0
+                eng = net.server.index
+                eng.insert(fresh)
+                eng.delete(fresh)
+                eng.insert(fresh)
+                await client.barrier()
                 assert await client.range(fresh, fresh + 1) == 1
-                snap = await client.stats()
-                assert snap["live_workers"] == 1
+                assert await client.lookup(fresh + 1) == len(keys) + 1
         finally:
             await net.close()
 
@@ -205,15 +74,16 @@ def test_event_stream_replays_in_engine_apply_order(keys):
 
 
 def test_float_key_writes_replicate_exactly_to_workers():
-    # float-dtype indexes replicate the key in wire-native float form;
-    # the old int(key) truncation made workers insert/delete the wrong
-    # key and silently diverge from the parent
+    # (the name predates the single serving process; the contract it
+    # pins did not change) float keys cross the wire in native float64
+    # form; an int(key) truncation anywhere on the write path would
+    # insert/delete the wrong key
     rng = np.random.default_rng(23)
     fkeys = np.sort(np.unique(rng.uniform(0.0, 1e6, 4000)))
 
     async def scenario():
         index = repro.Index.build(fkeys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
+        net = index.serve(addr=("127.0.0.1", 0))
         await net.start()
         try:
             async with Client(*net.address, timeout=60) as client:
@@ -221,13 +91,12 @@ def test_float_key_writes_replicate_exactly_to_workers():
                 await client.insert(frac)
                 # read-your-writes at full float precision: under
                 # int() truncation the count below would be 0 (the
-                # workers would hold frac - 0.5 instead)
+                # index would hold frac - 0.5 instead)
                 assert await client.range(frac, frac + 1.0) == 1
                 assert await client.range(frac - 0.5, frac) == 0
                 await client.delete(frac)
                 await client.barrier()
                 assert await client.range(frac - 1.0, frac + 1.0) == 0
-                # replicas stayed convergent with the parent engine
                 scan = await client.range_keys(0.0, frac + 2.0)
                 assert np.array_equal(scan, np.asarray(fkeys))
         finally:
@@ -303,5 +172,140 @@ def test_sigkilled_client_leaks_no_slots(keys, tmp_path):
                 assert server._slots == server.max_inflight
         finally:
             await net.close()
+
+    asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# one read path: the wire and the in-process API share IndexServer's core
+# ----------------------------------------------------------------------
+_PARITY_KEYS = ("served", "cache_hit_rate", "writes", "invalidated_points")
+
+
+def _parity_rounds(keys):
+    """Seeded rounds of scalar reads; repeats only *across* rounds, so
+    hit/miss does not depend on how a burst is split into TCP reads."""
+    rng = np.random.default_rng(5)
+    hot = [int(k) for k in rng.choice(keys, 24, replace=False)]
+    rounds = []
+    for _ in range(6):
+        picks = rng.choice(len(hot), 12, replace=False)
+        ops = [("lookup", hot[i]) for i in picks[:8]]
+        ops += [("range", hot[i], hot[i] + 1000) for i in picks[8:]]
+        rounds.append(ops)
+    return rounds
+
+
+async def _drive_parity(read, insert, snapshot, keys):
+    """Run the shared stream through one transport's callables."""
+    before = await snapshot()
+    answers = []
+    rounds = _parity_rounds(keys)
+    for n, ops in enumerate(rounds):
+        if n == len(rounds) // 2:  # a write in the middle
+            await insert(int(keys[len(keys) // 2]) + 1)
+        answers.append(await asyncio.gather(*[read(*op) for op in ops]))
+    after = await snapshot()
+    assert after["batches"] > before["batches"]
+    return answers, {k: after[k] - before[k] for k in _PARITY_KEYS}
+
+
+def test_wire_and_inprocess_reads_take_the_same_path(keys):
+    async def inprocess():
+        index = repro.Index.build(keys, num_shards=2)
+        async with index.serve() as server:
+            async def snapshot():
+                return server.stats.snapshot()
+
+            def read(kind, *args):
+                return getattr(server, kind)(*args)
+
+            return await _drive_parity(read, server.insert, snapshot, keys)
+
+    async def wire():
+        index = repro.Index.build(keys, num_shards=2)
+        async with index.serve(addr=("127.0.0.1", 0)) as net:
+            async with Client(*net.address, timeout=60) as client:
+                def read(kind, *args):
+                    return getattr(client, kind)(*args)
+
+                return await _drive_parity(
+                    read, client.insert, client.stats, keys)
+
+    local_answers, local_delta = asyncio.run(inprocess())
+    wire_answers, wire_delta = asyncio.run(wire())
+    assert wire_answers == local_answers
+    assert wire_delta == local_delta
+    assert local_delta["writes"] == 1 and local_delta["cache_hit_rate"] > 0
+
+
+def test_background_timers_start_on_tcp_reads_alone(keys):
+    # the timers are lazy (no loop at construction): any request must
+    # start them, not only a write — a read-only TCP workload used to
+    # run zero background retunes
+    async def scenario():
+        index = repro.Index.build(keys, num_shards=2, backend="gapped")
+        async with index.serve(addr=("127.0.0.1", 0),
+                               retune_interval=0.05) as net:
+            async with Client(*net.address, timeout=60) as client:
+                deadline = time.monotonic() + 30
+                while (await client.stats())["background_retunes"] == 0:
+                    assert time.monotonic() < deadline, "timer never ran"
+                    q = int(keys[7])
+                    assert await client.lookup(q) == 7
+                    await asyncio.sleep(0.02)
+                assert (await client.stats())["writes"] == 0
+
+    asyncio.run(scenario())
+
+
+def test_malformed_scalar_read_fails_only_itself(keys):
+    # a lookup without its query field answers an error frame; the
+    # connection (and its neighbours in the same TCP read) keep working
+    async def scenario():
+        index = repro.Index.build(keys, num_shards=2)
+        async with index.serve(addr=("127.0.0.1", 0)) as net:
+            async with Client(*net.address, timeout=60) as client:
+                bad = client._request({"op": "lookup"}, idempotent=False)
+                good = client.lookup(int(keys[9]))
+                results = await asyncio.gather(
+                    bad, good, return_exceptions=True)
+                assert isinstance(results[0], TypeError)
+                assert results[1] == 9
+                assert net.server._slots == net.server.max_inflight
+
+    asyncio.run(scenario())
+
+
+def test_closed_connection_records_are_bounded_and_totals_exact(keys):
+    from repro.net.protocol import encode_frame
+    from repro.serve.stats import MAX_CLOSED_CONNECTIONS
+
+    cycles = MAX_CLOSED_CONNECTIONS + 76
+
+    async def scenario():
+        index = repro.Index.build(keys, num_shards=2)
+        async with index.serve(addr=("127.0.0.1", 0)) as net:
+            host, port = net.address
+            for i in range(cycles):
+                _, writer = await asyncio.open_connection(host, port)
+                if i < 3:  # early (soon evicted) peers misbehave
+                    writer.write(encode_frame([i]))
+                    await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+            async with Client(host, port, timeout=60) as client:
+                deadline = time.monotonic() + 30
+                while True:
+                    snap = await client.stats()
+                    if snap["open_connections"] == 1:
+                        break
+                    assert time.monotonic() < deadline, snap
+                    await asyncio.sleep(0.01)
+                assert snap["connections"] == cycles + 1
+                assert snap["protocol_errors"] == 3
+                per_conn = snap["net"]["connections"]
+                assert len(per_conn) == MAX_CLOSED_CONNECTIONS + 1
+                assert 0 not in per_conn and cycles in per_conn
 
     asyncio.run(scenario())

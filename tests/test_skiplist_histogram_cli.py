@@ -192,24 +192,6 @@ def test_cli_serve_probe(capsys):
     assert "serving uden64" in out and "probe: lookup" in out
 
 
-def test_cli_client_bench_single_cell(capsys, tmp_path):
-    import json
-
-    path = tmp_path / "bench.json"
-    rc = cli_main([
-        "client-bench", "--n", "3000", "--clients", "2", "--rounds", "1",
-        "--scenarios", "read-heavy", "--transports", "tcp",
-        "--net-workers", "0", "--json", str(path),
-    ])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "zero mismatches" in out
-    payload = json.loads(path.read_text())
-    assert payload["rows"] and all(
-        r["mismatches"] == 0 for r in payload["rows"])
-    assert "cpu_count" in payload and "scaling" in payload
-
-
 def test_cli_fig3(capsys):
     rc = cli_main(["fig", "3", "--n", "8000"])
     assert rc == 0
