@@ -37,8 +37,8 @@ hierarchy), ``repro.datasets`` (SOSD generators and surrogates),
 ``repro.engine`` (sharded vectorised batch engine with updatable shard
 backends and whole-engine persistence), ``repro.serve`` (asyncio
 serving front end: micro-batching, write-coherent result caching,
-telemetry), ``repro.net`` (framed TCP protocol + shared-memory read
-workers), ``repro.replica`` (leader/follower replication: checkpoint
+telemetry), ``repro.net`` (framed TCP protocol, asyncio front end,
+pipelining client), ``repro.replica`` (leader/follower replication: checkpoint
 shipping + WAL-tail streaming read replicas).
 """
 

@@ -18,13 +18,9 @@ recovery).  These rules re-derive the contract from the source itself:
 the lock, and ``RPR202`` flags ``WriteEvent`` construction outside a
 lock-holding context.
 
-PR 9 split the engine lock into shared/exclusive modes
-(:class:`~repro.engine.locks.EngineWriteLock`): ``with
-self._write_lock.shared():`` licenses per-shard *content* writes (under
-the shard's own lock) but not structural state.  ``RPR203`` therefore
-flags assignments to lock-protected attributes made under *only* the
-shared mode — re-routing shards, replacing offsets, or touching the
-keys cache there races every other shared-mode writer.
+The engine's write-concurrency model is one writer at a time behind one
+re-entrant lock (``ShardedIndex._write_lock``), so "holds the lock" is
+the whole contract — there is no weaker mode to police.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from .framework import ModuleContext, Rule, register
 #: Methods that run before the object is published to other threads.
 _CONSTRUCTORS = frozenset({"__init__", "__new__", "__post_init__"})
 
-_LOCK_FACTORIES = frozenset({"Lock", "RLock", "EngineWriteLock"})
+_LOCK_FACTORIES = frozenset({"Lock", "RLock"})
 
 
 def _is_lock_factory(call: ast.AST) -> bool:
@@ -72,19 +68,11 @@ def _mentions_lockish(node: ast.AST) -> bool:
     return False
 
 
-def _shared_mode_attr(node: ast.AST) -> str | None:
-    """``self.<lock>.shared()`` context expression: the lock attr name."""
-    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "shared"):
-        return _self_attr(node.func.value)
-    return None
-
-
 @dataclass
 class _MethodInfo:
     node: ast.AST
     name: str
-    # (attr, anchor node, under_own_lock, under_shared_mode_only)
+    # (attr, anchor node, under_own_lock)
     assignments: list = field(default_factory=list)
     # (callee, under_own_lock)
     self_calls: list = field(default_factory=list)
@@ -101,7 +89,7 @@ class _ClassInfo:
     @property
     def protected(self) -> set:
         return {attr for m in self.methods.values()
-                for attr, _, locked, _shared in m.assignments if locked}
+                for attr, _, locked in m.assignments if locked}
 
     def locked_only(self) -> set:
         """Fixpoint: private helpers provably called only under the lock."""
@@ -147,20 +135,11 @@ def _collect_class(cls: ast.ClassDef) -> _ClassInfo:
 
 
 def _walk_method(m: _MethodInfo, lock_attrs: set) -> None:
-    def visit(node, own_lock: bool, any_lock: bool, shared_only: bool) -> None:
+    def visit(node, own_lock: bool, any_lock: bool) -> None:
         if isinstance(node, ast.With):
             for item in node.items:
                 attr = _self_attr(item.context_expr)
                 if attr is not None and attr in lock_attrs:
-                    # a plain `with self.<lock>:` is exclusive mode (or
-                    # an auxiliary lock): it licenses everything below
-                    own_lock = True
-                    shared_only = False
-                elif _shared_mode_attr(item.context_expr) in lock_attrs:
-                    # `with self.<lock>.shared():` counts as holding the
-                    # lock (RPR201/202) but only in shared mode (RPR203)
-                    if not own_lock:
-                        shared_only = True
                     own_lock = True
                 if _mentions_lockish(item.context_expr):
                     any_lock = True
@@ -170,8 +149,7 @@ def _walk_method(m: _MethodInfo, lock_attrs: set) -> None:
             for target in targets:
                 attr = _self_attr(target)
                 if attr is not None:
-                    m.assignments.append((attr, target, own_lock,
-                                          shared_only))
+                    m.assignments.append((attr, target, own_lock))
         elif isinstance(node, ast.Call):
             func = node.func
             if (isinstance(func, ast.Attribute)
@@ -184,10 +162,10 @@ def _walk_method(m: _MethodInfo, lock_attrs: set) -> None:
             if name == "WriteEvent":
                 m.write_events.append((node, own_lock or any_lock))
         for child in ast.iter_child_nodes(node):
-            visit(child, own_lock, any_lock, shared_only)
+            visit(child, own_lock, any_lock)
 
     for stmt in m.node.body:
-        visit(stmt, False, False, False)
+        visit(stmt, False, False)
 
 
 _LOCK_SCOPE = ("engine", "serve")
@@ -216,7 +194,7 @@ class UnlockedStateMutation(Rule):
             for m in info.methods.values():
                 if m.name in _CONSTRUCTORS or m.name in locked_only:
                     continue
-                for attr, node, locked, _shared in m.assignments:
+                for attr, node, locked in m.assignments:
                     if locked or attr not in protected:
                         continue
                     findings.append(self.finding(
@@ -226,40 +204,6 @@ class UnlockedStateMutation(Rule):
                         f"{sorted(info.lock_attrs)[0]}` in "
                         f"{cls.name}.{m.name}; writers and the WAL "
                         "listener chain race against this"))
-        return findings
-
-
-@register
-class StructuralMutationUnderSharedLock(Rule):
-    """Lock-protected state assigned under only the *shared* lock mode."""
-
-    code = "RPR203"
-    name = "structural-mutation-under-shared-lock"
-    summary = ("`with self._write_lock.shared():` licenses per-shard "
-               "content writes only; assignments to lock-protected "
-               "attributes there race other shared-mode writers and "
-               "need exclusive mode (or the meta lock)")
-    scope_dirs = _LOCK_SCOPE
-
-    def check(self, ctx: ModuleContext) -> list:
-        findings = []
-        for cls in [n for n in ast.walk(ctx.tree)
-                    if isinstance(n, ast.ClassDef)]:
-            info = _collect_class(cls)
-            if not info.lock_attrs:
-                continue
-            protected = info.protected
-            for m in info.methods.values():
-                for attr, node, _locked, shared in m.assignments:
-                    if not shared or attr not in protected:
-                        continue
-                    findings.append(self.finding(
-                        ctx, node,
-                        f"assignment to lock-protected state "
-                        f"`self.{attr}` under the shared engine-lock "
-                        f"mode in {cls.name}.{m.name}; structural state "
-                        "needs exclusive mode — shared mode only covers "
-                        "per-shard content under the shard's own lock"))
         return findings
 
 

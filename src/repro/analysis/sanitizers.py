@@ -4,9 +4,9 @@ The RPR2xx/RPR3xx lint rules prove lock and durability discipline
 *lexically*; the sanitizers here verify the same contracts *dynamically*
 while the ordinary test suite runs:
 
-- :class:`LockSanitizer` wraps ``ShardedIndex._write_lock`` in a
-  thread-ownership tracker and asserts, on every :class:`WriteEvent`,
-  that the emitting thread actually holds the engine write lock.
+- :class:`LockSanitizer` asserts, on every :class:`WriteEvent`, that
+  the emitting thread actually holds ``ShardedIndex._write_lock`` — the
+  engine's one lock (one writer at a time, structural or not).
 - :class:`DurabilitySanitizer` wraps the WAL append/commit points and
   asserts apply-order = LSN-order: each content-changing event must be
   logged by exactly one append, LSNs must be gap-free, the logged
@@ -40,47 +40,13 @@ def sanitizers_enabled() -> bool:
     return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
 
 
-class _TrackedLock:
-    """Lock proxy recording the owning thread and re-entry depth."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-        self._owner: int | None = None
-        self._depth = 0
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        ok = self._inner.acquire(blocking, timeout)
-        if ok:
-            self._owner = threading.get_ident()
-            self._depth += 1
-        return ok
-
-    def release(self) -> None:
-        self._depth -= 1
-        if self._depth == 0:
-            self._owner = None
-        self._inner.release()
-
-    def __enter__(self):
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-    def held_by_current_thread(self) -> bool:
-        """True when the calling thread currently owns the lock."""
-        return self._depth > 0 and self._owner == threading.get_ident()
-
-
 class LockSanitizer:
-    """Asserts every ``WriteEvent`` is emitted under the right lock(s).
+    """Asserts every ``WriteEvent`` is emitted under the engine write lock.
 
-    The engine write lock is two-level (:mod:`repro.engine.locks`):
-    exclusive mode licenses any event, while *shared* mode licenses only
-    per-shard content events — and then only when the emitting thread
-    also holds that shard's own lock.  Structure-level events
-    (``shard == -1``: refresh/retune) always require exclusive mode.
+    The engine's write-concurrency model is one writer at a time behind
+    ``ShardedIndex._write_lock``; an event emitted by a thread that does
+    not hold it means a mutation (or its listener chain — WAL append,
+    cache invalidation) escaped the serialisation.
     """
 
     def __init__(self, index) -> None:
@@ -89,48 +55,19 @@ class LockSanitizer:
 
     @classmethod
     def install(cls, index) -> "LockSanitizer":
-        """Start checking events against the engine lock's ownership.
-
-        An :class:`~repro.engine.locks.EngineWriteLock` tracks its own
-        per-thread ownership; any other lock object is wrapped in a
-        :class:`_TrackedLock` proxy so the check still works.
-        """
+        """Start checking every event against the engine lock's owner."""
         san = cls(index)
-        if not hasattr(index._write_lock, "held_by_current_thread"):
-            index._write_lock = _TrackedLock(index._write_lock)
         index.add_write_listener(san._on_event)
         return san
 
     def uninstall(self) -> None:
-        """Stop checking and restore the original lock object."""
+        """Stop checking."""
         self.index.remove_write_listener(self._on_event)
-        if isinstance(self.index._write_lock, _TrackedLock):
-            self.index._write_lock = self.index._write_lock._inner
-
-    def _shard_lock_owned(self, shard_id: int) -> bool:
-        """Whether this thread owns the mutated shard's own lock."""
-        try:
-            shard = self.index.shards[shard_id]
-        except (IndexError, TypeError):
-            return False
-        lock = getattr(shard, "_lock", None)  # never create it here
-        return lock is not None and lock._is_owned()
 
     def _on_event(self, event) -> None:
-        lock = self.index._write_lock
-        if getattr(lock, "held_exclusive", None) is not None:
-            if lock.held_exclusive():
-                return
-            if lock.held_shared() and event.shard >= 0 \
-                    and self._shard_lock_owned(event.shard):
-                return
-            self.violations += 1
-            raise SanitizerError(
-                f"WriteEvent({event.kind!r}, shard={event.shard}) emitted "
-                "without holding the required locks: exclusive engine "
-                "mode, or shared mode plus the mutated shard's own lock "
-                "(RPR201/RPR202/RPR203 runtime check)")
-        if not lock.held_by_current_thread():
+        # RLock._is_owned is the ownership query threading.Condition
+        # itself relies on
+        if not self.index._write_lock._is_owned():
             self.violations += 1
             raise SanitizerError(
                 f"WriteEvent({event.kind!r}, shard={event.shard}) emitted "

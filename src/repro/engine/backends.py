@@ -24,7 +24,6 @@ answer as ``shard offset + local rank``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,30 +145,6 @@ class ShardBackend:
     #: auto-tuner; None for shards built from a hand-picked config
     decision_label: str | None = None
     _stats: ShardStats | None = None
-    _lock: threading.RLock | None = None
-    #: class-level guard so two threads racing the lazy ``lock`` create
-    #: exactly one per-shard lock (double-checked)
-    _lock_guard = threading.Lock()
-
-    @property
-    def lock(self) -> threading.RLock:
-        """This shard's own write lock (created lazily, exactly once).
-
-        Shared-mode engine writers (:mod:`repro.engine.locks`) take this
-        before mutating the shard's content, so writers on *distinct*
-        shards proceed concurrently while two writers on the same shard
-        still serialise.  Living on the backend object, the lock follows
-        the shard through splits/merges/retunes (each rebuilt backend
-        gets a fresh lock) and through persistence decode paths that
-        bypass ``__init__``.
-        """
-        lock = self._lock
-        if lock is None:
-            with ShardBackend._lock_guard:
-                lock = self._lock
-                if lock is None:
-                    lock = self._lock = threading.RLock()
-        return lock
 
     @property
     def stats(self) -> ShardStats:

@@ -12,13 +12,16 @@ Three cooperating pieces, one directory::
     index.db/
       MANIFEST.json                  # generation-counted root pointer
       segments/g<gen>-s<shard>.npz   # one checkpointed shard each
-      wal/g<gen>/lane-<shard>.wal    # CRC-framed mutation log
+      wal/g<gen>.wal                 # CRC-framed mutation log, one file
+                                     # per generation
 
 * **WAL** (:mod:`repro.engine.wal`) — every applied ``insert``/``delete``
   is appended (via the engine's :class:`~repro.engine.sharded.WriteEvent`
-  hook, under the write lock, so LSN order *is* apply order) and group-
-  commit fsynced.  A write is *acknowledged* once its LSN is
-  ``durable_lsn`` or below.
+  hook, under the write lock, so LSN order *is* apply order *is* file
+  order) and group-commit fsynced.  A write is *acknowledged* once its
+  LSN is ``durable_lsn`` or below, and whatever a crash leaves of the
+  log is a prefix of it: **recovery yields a prefix of the applied
+  history**, never a state the index was not in.
 * **Incremental checkpoints** — :meth:`DurabilityManager.checkpoint`
   flushes **one shard at a time**: the engine write lock is held only
   while a shard is snapshotted into owned array copies
@@ -67,7 +70,6 @@ import numpy as np
 from .persist import (
     _config_from_dict,
     _config_to_dict,
-    _fsync_dir,
     encode_shard_state,
     load_shard_segment,
     save_shard_segment,
@@ -77,6 +79,7 @@ from .wal import (
     OP_DELETE,
     OP_INSERT,
     WalWriter,
+    _fsync_dir,
     list_generations,
     read_wal,
 )
@@ -85,7 +88,8 @@ from .wal import (
 DURABLE_FORMAT_NAME = "repro-durable-index"
 
 #: Durable-directory layout version; bump on incompatible changes.
-DURABLE_FORMAT_VERSION = 1
+#: Version 2: the WAL is one file per generation (was per-shard lanes).
+DURABLE_FORMAT_VERSION = 2
 
 #: The generation-counted root pointer file.
 MANIFEST_NAME = "MANIFEST.json"
@@ -398,12 +402,9 @@ class DurabilityManager:
 
     def add_record_listener(self, fn) -> None:
         """Register ``fn(lsn, op, shard, key)``, called for every WAL
-        append at the engine apply point (still under the shard's write
-        lock, right after :class:`WriteEvent` dispatch).  LSNs are
-        globally unique and gap-free; concurrent distinct-shard writers
-        may invoke listeners out of LSN order, so consumers that need
-        the total order reassemble by LSN (the replication streamer's
-        record buffer does exactly that)."""
+        append at the engine apply point (still under the engine write
+        lock, right after :class:`WriteEvent` dispatch), so listeners
+        see gap-free LSNs in LSN order."""
         self._record_listeners.append(fn)
 
     def remove_record_listener(self, fn) -> None:
@@ -635,10 +636,10 @@ class DurabilityManager:
                 f"(format={manifest.get('format')!r})"
             )
         version = int(manifest.get("format_version", -1))
-        if version > DURABLE_FORMAT_VERSION or version < 1:
+        if version != DURABLE_FORMAT_VERSION:
             raise DurabilityError(
                 f"{root} uses durable layout version {version}; this "
-                f"library reads versions 1..{DURABLE_FORMAT_VERSION}"
+                f"library reads version {DURABLE_FORMAT_VERSION} only"
             )
         return manifest
 

@@ -61,6 +61,7 @@ from .backends import (
     StaticBackend,
 )
 from .sharded import ShardedIndex
+from .wal import _fsync_dir
 
 #: On-disk engine format version; bump on incompatible layout changes.
 FORMAT_VERSION = 1
@@ -253,20 +254,6 @@ def _decode_shard(entry: dict, arrays: dict) -> ShardBackend:
 # ----------------------------------------------------------------------
 # durable file plumbing
 # ----------------------------------------------------------------------
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry to disk (no-op where unsupported)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir-fsync
-        pass
-    finally:
-        os.close(fd)
-
-
 def _atomic_savez(path: Path, payload: dict) -> None:
     """Write an ``.npz`` so a crash never publishes a partial file.
 

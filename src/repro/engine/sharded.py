@@ -26,7 +26,12 @@ the bounded search".
 
 Updates (:meth:`insert` / :meth:`delete`) route exactly like queries,
 mutate one shard backend, and shift the base offsets of every later
-shard.  Routing boundaries are allowed to go *stale* under deletes (a
+shard.  The write-concurrency model is **one writer at a time,
+structural or not**: every mutation — content or structure — and its
+listener chain (WAL append, cache invalidation, replication tap) runs
+under the one re-entrant ``_write_lock``, so apply order is LSN order
+by construction and there is exactly one write body per operation.
+Routing boundaries are allowed to go *stale* under deletes (a
 shard's smallest key may be deleted): a query falling between a stale
 boundary and the shard's live minimum answers identically whether the
 router sends it to this shard (local rank 0) or the previous one (local
@@ -62,7 +67,6 @@ from .backends import (
     config_from_index,
     make_backend,
 )
-from .locks import EngineWriteLock
 
 #: Correction-layer modes a shard can be built with.
 LAYER_MODES = ("R", "S", None)
@@ -191,23 +195,14 @@ class ShardedIndex:
             raise ValueError("a ShardedIndex needs at least one key")
         #: build-time keys per shard; a shard splits once it doubles this
         self._target_shard_keys = max(1, len(keys) // max(1, self.num_shards))
-        #: two-level write lock (:mod:`repro.engine.locks`): per-shard
-        #: writers take *shared* mode plus the target shard's own lock,
-        #: so threaded writers on distinct shards proceed concurrently;
-        #: anything structural (splits, merges, drains, retunes,
-        #: checkpoint snapshots) takes *exclusive* mode, which keeps the
-        #: drop-in ``with self._write_lock:`` stop-the-world semantics.
-        #: Reads stay lock-free — they are only safe concurrently with
-        #: writes when an outer layer (e.g. the asyncio serving front
-        #: end) orders them onto one thread.
-        self._write_lock = EngineWriteLock()
-        #: serialises the cross-shard metadata a shared-mode writer must
-        #: still touch (offset shifts, the keys-dirty flag) and the
-        #: listener notification chain, so WAL apply-order = LSN-order
-        #: holds even with writers on distinct shards.  Lock order is
-        #: engine (shared|exclusive) -> shard lock -> meta lock, never
-        #: reversed.
-        self._meta_lock = threading.RLock()
+        #: THE write-concurrency model: one writer at a time, structural
+        #: or not.  Every mutation (insert, delete, refresh, split,
+        #: merge, retune, checkpoint snapshot) runs under this one
+        #: re-entrant lock, listeners included, so apply order is LSN
+        #: order by construction.  Reads stay lock-free — they are only
+        #: safe concurrently with writes when an outer layer (e.g. the
+        #: asyncio serving front end) orders them onto one thread.
+        self._write_lock = threading.RLock()
         self._write_listeners: list[Callable[[WriteEvent], None]] = []
         #: while True, structural maintenance (splits, merges) is
         #: deferred: shard ids stay stable so an incremental checkpoint
@@ -430,75 +425,22 @@ class ShardedIndex:
         return (lo, None)
 
     def _write_span(self, s: int, key) -> tuple:
-        """The :class:`WriteEvent` span for a write of ``key`` to shard ``s``."""
-        span = self.shard_span(s)
-        if span is None:  # the write drained the shard: only ``key`` moved
+        """The :class:`WriteEvent` span for a write of ``key`` to shard ``s``.
+
+        Shard ``s``'s routing interval widened to contain ``key``: the
+        upper bound is the next non-empty shard's *routing boundary*
+        (always ``<=`` that shard's live minimum — inserts route by
+        boundary, deletes only remove keys).  Call before any
+        maintenance re-homes ``key``'s run.
+        """
+        shard = self.shards[s]
+        if len(shard) == 0:  # the write drained the shard: only ``key`` moved
             return (key, key)
-        lo, hi = span
-        return (min(lo, key), None if hi is None else max(hi, key))
-
-    def _split_due(self, shard: ShardBackend, size: int) -> bool:
-        """Whether a shard at live size ``size`` has earned a split try.
-
-        Mirrors :meth:`_maybe_maintain`'s trigger (2x the build-time
-        target, with back-off after a degenerate split attempt) so the
-        shared-mode fast path can route split-bound writes to the
-        exclusive path *before* mutating anything.
-        """
-        if self._defer_maintenance:
-            return False
-        if size < max(2 * self._target_shard_keys, 8):
-            return False
-        return size >= shard.split_failed_at + max(
-            shard.split_failed_at // 4, 1
-        )
-
-    def _boundary_span(self, s: int, key) -> tuple:
-        """The :class:`WriteEvent` span for shard ``s``, from routing state.
-
-        Shared-mode writers cannot read a neighbour shard's live minimum
-        (another writer may be mutating it), so the span's upper bound is
-        the next shard's *routing boundary* instead.  The boundary is
-        always ``<=`` that shard's live minimum (inserts route by
-        boundary, deletes only remove keys), and the span still contains
-        the written key — which is all shard-aware cache invalidation
-        needs (:mod:`repro.serve.cache`).
-        """
         pos = int(np.searchsorted(self._nonempty, s))
-        lo = self.shards[s].min_key()
+        lo = shard.min_key()
         hi = (self._split_keys[pos] if pos < len(self._split_keys)
               else None)
         return (min(lo, key), None if hi is None else max(hi, key))
-
-    def _insert_shared(self, key) -> int | None:
-        """Shared-mode insert fast path; None when structure must change.
-
-        Holds the engine lock in shared mode plus the target shard's own
-        lock, so writers on distinct shards proceed concurrently.  Any
-        write that could split the shard (or re-seed an empty index)
-        bails out to the exclusive path without mutating anything.
-        """
-        with self._write_lock.shared():
-            if len(self._nonempty) == 0:
-                return None  # re-seeding shard 0 is structural
-            s = int(self.route_batch(np.asarray([key]))[0])
-            shard = self.shards[s]
-            assert shard is not None, "router targeted an empty shard"
-            with shard.lock:
-                if self._split_due(shard, len(shard) + 1):
-                    return None  # splitting is structural
-                shard.insert(key)
-                shard.stats.writes += 1
-                # in-place refresh is content- and id-stable, so the
-                # backend still gets its amortised merge on the fast path
-                if shard.needs_refresh():
-                    shard.refresh()
-                with self._meta_lock:
-                    self.offsets[s + 1 :] += 1
-                    self._keys_dirty = True
-                    self._notify(WriteEvent(
-                        "insert", s, key, self._boundary_span(s, key)))
-            return s
 
     def insert(self, key) -> int:
         """Insert ``key`` into its shard; returns the shard id.
@@ -507,14 +449,8 @@ class ShardedIndex:
         base offsets of all later shards, and runs shard maintenance
         (in-place refresh, or a run-aligned split once the shard has
         doubled its build-time size) when the backend's slack runs out.
-        Writes that leave the shard structure alone run under the engine
-        lock's *shared* mode plus the shard's own lock
-        (:meth:`_insert_shared`); structural writes take exclusive mode.
         """
         key = self._cast_key(key)
-        s = self._insert_shared(key)
-        if s is not None:
-            return s
         with self._write_lock:
             if len(self._nonempty) == 0:
                 # every key was deleted: re-seed the first shard
@@ -539,38 +475,6 @@ class ShardedIndex:
             self._notify(WriteEvent("insert", s, key, span))
             return s
 
-    def _delete_shared(self, key) -> int | None:
-        """Shared-mode delete fast path; None when structure must change.
-
-        Deletes that could drain the shard, trigger a merge, or land in
-        a split-bound shard bail out to the exclusive path *before*
-        mutating anything; a missing key raises ``KeyError`` directly
-        (routing is stable under shared mode, so the exclusive path
-        would route identically).
-        """
-        with self._write_lock.shared():
-            if len(self._nonempty) == 0:
-                raise KeyError(key)
-            s = int(self.route_batch(np.asarray([key]))[0])
-            shard = self.shards[s]
-            assert shard is not None, "router targeted an empty shard"
-            with shard.lock:
-                size = len(shard)
-                if size - 1 <= max(self._target_shard_keys // 4, 1):
-                    return None  # drain / merge territory: structural
-                if self._split_due(shard, size):
-                    return None  # tombstone compaction may split
-                shard.delete(key)  # KeyError propagates untouched
-                shard.stats.writes += 1
-                if shard.needs_refresh():
-                    shard.refresh()
-                with self._meta_lock:
-                    self.offsets[s + 1 :] -= 1
-                    self._keys_dirty = True
-                    self._notify(WriteEvent(
-                        "delete", s, key, self._boundary_span(s, key)))
-            return s
-
     def delete(self, key) -> int:
         """Delete one occurrence of ``key``; returns the shard id.
 
@@ -584,9 +488,6 @@ class ShardedIndex:
             key = self._cast_key(key)
         except ValueError:
             raise KeyError(key) from None
-        s = self._delete_shared(key)
-        if s is not None:
-            return s
         with self._write_lock:
             if len(self._nonempty) == 0:
                 raise KeyError(key)

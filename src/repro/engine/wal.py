@@ -1,4 +1,4 @@
-"""Per-shard write-ahead log: CRC-framed mutation records, group commit.
+"""Write-ahead log: CRC-framed mutation records, one file per generation.
 
 The durability layer's first half (the second is
 :mod:`repro.engine.durability`): every ``insert``/``delete`` the sharded
@@ -8,42 +8,41 @@ succeeded.
 
 Layout
 ------
-A WAL lives under ``<root>/wal/`` as numbered **generations** (one per
-checkpoint pass — rotating at a pass's start is what lets whole older
-generations be deleted once the pass publishes):
+A WAL lives under ``<root>/wal/`` as numbered **generations**, one
+append-only file each (one per checkpoint pass — rotating at a pass's
+start is what lets whole older generations be deleted once the pass
+publishes):
 
 .. code-block:: text
 
     wal/
-      g0000000001/
-        lane-0000.wal      # records applied to shard 0
-        lane-0003.wal      # records applied to shard 3
-      g0000000002/
-        ...
+      g0000000001.wal
+      g0000000002.wal
 
-Within a generation the log is **per shard**: each record is appended to
-the lane file of the shard that absorbed the write, so a future
-multi-writer engine appends without cross-shard contention and
-checkpoint bookkeeping stays per shard.  Every record carries a global,
-monotonically increasing **LSN**; readers merge all lanes by LSN, which
-restores the exact apply order the engine's write lock serialised.
+The engine has one writer at a time (its write lock), so the log is one
+sequence: every record carries a global, monotonically increasing
+**LSN** and the id of the **shard** that absorbed the write (what
+recovery's per-shard ``flushed_lsn`` filter reads), and file order *is*
+LSN order *is* apply order.  Because appends never rewrite earlier
+bytes, whatever a crash leaves behind is a **prefix** of the applied
+history — a torn tail can only ever be a suffix.
 
 Record framing (little-endian)::
 
     u32 crc32(payload) | u32 payload_length | payload
     payload = u64 lsn | u8 op | u32 shard | key bytes (dtype.itemsize)
 
-Each lane file starts with a header: ``b"RWAL"``, a format version, and
-the key dtype string.  A torn tail — the frame being written when the
-process died — fails its CRC (or runs out of bytes) and ends that
-lane's replay; anything framed *before* it is intact because appends
-never rewrite earlier bytes.
+Each file starts with a header: ``b"RWAL"``, a format version, and the
+key dtype string.  A torn tail — the frame being written when the
+process died — fails its CRC (or runs out of bytes) and ends the
+replay; a bad frame with intact frames *after* it is damage, not a
+crash, and raises :class:`WalError`.
 
 Durability contract
 -------------------
 ``append()`` buffers; a record is only *durable* once :meth:`WalWriter.commit`
-has returned, which flushes and ``fsync``\\ s every dirty lane (and, the
-first time a lane file is created, its directory).  Three sync modes:
+has returned, which flushes the file and ``fsync``\\ s it — one fsync
+however many records (and shards) the group touched.  Three sync modes:
 
 * ``"always"`` — the owner commits after every append: one fsync per
   write, strongest guarantee, slowest.
@@ -62,7 +61,6 @@ from __future__ import annotations
 
 import os
 import re
-import shutil
 import struct
 import threading
 import zlib
@@ -71,11 +69,13 @@ from pathlib import Path
 
 import numpy as np
 
-#: Lane-file magic; a file not starting with it is not a WAL lane.
+#: File magic; a file not starting with it is not a WAL generation.
 WAL_MAGIC = b"RWAL"
 
-#: On-disk WAL format version; bump on incompatible framing changes.
-WAL_VERSION = 1
+#: On-disk WAL format version; bump on incompatible layout or framing
+#: changes.  Version 1 kept a directory of per-shard lane files per
+#: generation; version 2 is one file per generation.
+WAL_VERSION = 2
 
 #: Sync policies a :class:`WalWriter` can be opened with.
 WAL_SYNC_MODES = ("always", "group", "async")
@@ -88,16 +88,17 @@ _HEADER = struct.Struct("<4sHH")  # magic, version, dtype-string length
 _FRAME = struct.Struct("<II")  # crc32(payload), payload length
 _PAYLOAD_HEAD = struct.Struct("<QBI")  # lsn, op, shard
 
-_GEN_RE = re.compile(r"^g(\d{10})$")
-_LANE_RE = re.compile(r"^lane-(\d{4})\.wal$")
+_GEN_RE = re.compile(r"^g(\d{10})\.wal$")
+_V1_GEN_RE = re.compile(r"^g\d{10}$")  # a version-1 generation directory
 
 
 class WalError(ValueError):
     """A WAL file could not be written or read back.
 
-    Raised for unreadable lane headers, dtype mismatches between lanes,
-    or corruption *before* the tail (a bad frame followed by intact
-    frames means the file was damaged, not torn by a crash).
+    Raised for unreadable headers, an unsupported format version (an
+    old per-shard-lane layout included), or corruption *before* the
+    tail (a bad frame followed by intact frames means the file was
+    damaged, not torn by a crash).
     """
 
 
@@ -131,69 +132,50 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def generation_dirname(generation: int) -> str:
-    """Directory name of WAL generation ``generation`` (``g<10 digits>``)."""
+def _generation_path(wal_root: Path, generation: int) -> Path:
+    """The log file of WAL generation ``generation`` (``g<10 digits>.wal``)."""
     if generation < 0:
         raise ValueError("WAL generation must be non-negative")
-    return f"g{generation:010d}"
+    return wal_root / f"g{generation:010d}.wal"
 
 
-def list_generations(wal_root: Path) -> list[int]:
-    """Sorted generation numbers present under ``wal_root``."""
+def list_generations(wal_root: str | Path) -> list[int]:
+    """Sorted generation numbers present under ``wal_root``.
+
+    Raises :class:`WalError` for a version-1 layout (generation
+    *directories* of per-shard lane files): reading it as "no records"
+    would silently drop every write since its last checkpoint.
+    """
+    wal_root = Path(wal_root)
     if not wal_root.is_dir():
         return []
     found = []
     for child in wal_root.iterdir():
         match = _GEN_RE.match(child.name)
-        if match and child.is_dir():
+        if match:
             found.append(int(match.group(1)))
+        elif _V1_GEN_RE.match(child.name) and child.is_dir():
+            raise WalError(
+                f"{child} is a WAL format version 1 generation "
+                "(per-shard lane files); this library reads version "
+                f"{WAL_VERSION} only"
+            )
     return sorted(found)
 
 
-class _Lane:
-    """One shard's append-only lane file (buffered, fsync on commit)."""
-
-    def __init__(self, path: Path, key_dtype: np.dtype) -> None:
-        self.path = path
-        created = not path.exists()
-        self._fh = open(path, "ab")
-        if created or self._fh.tell() == 0:
-            dtype_bytes = key_dtype.str.encode("ascii")
-            self._fh.write(
-                _HEADER.pack(WAL_MAGIC, WAL_VERSION, len(dtype_bytes))
-            )
-            self._fh.write(dtype_bytes)
-            self.newly_created = True
-        else:
-            self.newly_created = False
-        self.dirty = False
-
-    def append(self, frame: bytes) -> None:
-        self._fh.write(frame)
-        self.dirty = True
-
-    def flush(self, fsync: bool) -> None:
-        if not self.dirty:
-            return
-        self._fh.flush()
-        if fsync:
-            os.fsync(self._fh.fileno())
-        self.dirty = False
-
-    def close(self) -> None:
-        self._fh.close()
-
-
 class WalWriter:
-    """Appends CRC-framed mutation records to per-shard lane files.
+    """Appends CRC-framed mutation records to the generation's log file.
 
     One writer owns the log at a time (the engine's write lock already
-    serialises mutations; a small internal lock additionally makes
-    ``commit()`` safe to call from a different thread than ``append()``,
-    which is how the serving layer runs group fsyncs off the event
-    loop).  ``start_lsn`` seeds the LSN counter — recovery reopens the
-    log with ``max replayed LSN + 1`` so LSNs stay globally unique
-    across crashes.
+    serialises mutations).  Two small internal locks make ``commit()``
+    safe to call from a different thread than ``append()`` — which is
+    how the serving layer runs group fsyncs off the event loop — without
+    ever parking an ``append()`` behind a commit's ``fsync``: ``_mutex``
+    guards the buffer and the LSN counters and is released while the
+    fsync runs; ``_sync_lock`` makes commits, rotation and close
+    mutually exclusive so no file is closed under an in-flight fsync.  ``start_lsn`` seeds the LSN counter — recovery
+    reopens the log with ``max replayed LSN + 1`` so LSNs stay globally
+    unique across crashes.
     """
 
     def __init__(
@@ -216,13 +198,13 @@ class WalWriter:
         self.key_dtype = np.dtype(key_dtype)
         self.sync = sync
         self.group_ops = group_ops
-        self._lock = threading.Lock()
-        self._lanes: dict[int, _Lane] = {}
+        self._mutex = threading.Lock()
+        self._sync_lock = threading.Lock()  # order: _sync_lock -> _mutex
         self._next_lsn = int(start_lsn)
         self._durable_lsn = int(start_lsn) - 1
-        self._flushed_lsn = self._durable_lsn  # visible to the OS
         self._uncommitted = 0
         self._closed = False
+        self.wal_root.mkdir(parents=True, exist_ok=True)
         self._open_generation(int(generation))
 
     # ------------------------------------------------------------------
@@ -263,50 +245,49 @@ class WalWriter:
         ``group_ops`` appends as a backstop so an owner that forgets to
         commit still bounds the window of loss.
         """
-        if self._closed:
-            raise WalError("cannot append to a closed WAL writer")
+        if shard < 0:
+            raise WalError(f"invalid shard id {shard} in WAL append")
         key_scalar = self.key_dtype.type(key)
-        with self._lock:
+        with self._mutex:
+            if self._closed:
+                raise WalError("cannot append to a closed WAL writer")
             lsn = self._next_lsn
             self._next_lsn += 1
             payload = _PAYLOAD_HEAD.pack(lsn, op, shard) + \
                 key_scalar.tobytes()
-            frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
-            lane = self._lanes.get(shard)
-            if lane is None:
-                lane = self._open_lane(shard)
-            lane.append(frame)
+            self._fh.write(
+                _FRAME.pack(zlib.crc32(payload), len(payload)) + payload)
             self._uncommitted += 1
-        if self.sync == "always" or (
-            self.sync == "group" and self._uncommitted >= self.group_ops
-        ):
+            due = self.sync == "always" or (
+                self.sync == "group" and self._uncommitted >= self.group_ops
+            )
+        if due:
             self.commit()
         return lsn
 
     def commit(self) -> int:
         """Make every appended record durable; returns the durable LSN.
 
-        Flushes all dirty lanes and — except under ``sync="async"`` —
-        ``fsync``\\ s them, plus the generation directory the first time
-        each lane file appears in it.  One fsync covers however many
-        appends accumulated: this *is* the group commit.
+        One flush plus — except under ``sync="async"`` — one ``fsync``,
+        however many appends (to however many shards) accumulated: this
+        *is* the group commit.  The fsync runs outside the append
+        mutex, so records appended while it is in flight are neither
+        blocked by it nor covered by it.
         """
-        with self._lock:
+        with self._sync_lock:
+            return self._commit_locked()
+
+    def _commit_locked(self) -> int:
+        with self._mutex:
             if self._closed:
                 return self._durable_lsn
             head = self._next_lsn - 1
-            fsync = self.sync != "async"
-            synced_new = False
-            for lane in self._lanes.values():
-                if lane.newly_created:
-                    synced_new = True
-                    lane.newly_created = False
-                lane.flush(fsync=fsync)
-            if synced_new and fsync:
-                _fsync_dir(self._gen_dir)
-            self._flushed_lsn = head
-            self._durable_lsn = head
+            self._fh.flush()
             self._uncommitted = 0
+        if self.sync != "async":
+            os.fsync(self._fh.fileno())
+        with self._mutex:
+            self._durable_lsn = max(self._durable_lsn, head)
             return self._durable_lsn
 
     def rotate(self, generation: int) -> None:
@@ -316,17 +297,16 @@ class WalWriter:
         rotation land in generations the pass will supersede, records
         after it in the generation the new manifest references.
         """
-        self.commit()
-        with self._lock:
+        with self._sync_lock:
             if generation <= self._generation:
                 raise WalError(
                     f"cannot rotate backwards (at generation "
                     f"{self._generation}, asked for {generation})"
                 )
-            for lane in self._lanes.values():
-                lane.close()
-            self._lanes = {}
-            self._open_generation(generation)
+            self._commit_locked()
+            with self._mutex:
+                self._fh.close()
+                self._open_generation(generation)
 
     def drop_generations_below(self, generation: int) -> int:
         """Delete whole generations older than ``generation``; returns count.
@@ -338,25 +318,20 @@ class WalWriter:
         dropped = 0
         for gen in list_generations(self.wal_root):
             if gen < generation:
-                shutil.rmtree(
-                    self.wal_root / generation_dirname(gen),
-                    ignore_errors=True,
-                )
+                _generation_path(self.wal_root, gen).unlink(missing_ok=True)
                 dropped += 1
         if dropped:
             _fsync_dir(self.wal_root)
         return dropped
 
     def close(self) -> None:
-        """Commit outstanding records and release every lane handle."""
-        if self._closed:
-            return
-        self.commit()
-        with self._lock:
-            self._closed = True
-            for lane in self._lanes.values():
-                lane.close()
-            self._lanes = {}
+        """Commit outstanding records and release the file handle."""
+        with self._sync_lock:
+            self._commit_locked()
+            with self._mutex:
+                if not self._closed:
+                    self._closed = True
+                    self._fh.close()
 
     def __enter__(self) -> "WalWriter":
         return self
@@ -364,51 +339,48 @@ class WalWriter:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
     def _open_generation(self, generation: int) -> None:
+        """Open (creating) the generation's file; caller excludes appends."""
         self._generation = generation
-        self._gen_dir = self.wal_root / generation_dirname(generation)
-        self._gen_dir.mkdir(parents=True, exist_ok=True)
+        self._fh = open(_generation_path(self.wal_root, generation), "ab")
+        if self._fh.tell() == 0:
+            dtype_bytes = self.key_dtype.str.encode("ascii")
+            self._fh.write(
+                _HEADER.pack(WAL_MAGIC, WAL_VERSION, len(dtype_bytes))
+                + dtype_bytes)
+            self._fh.flush()
+        # the directory entry is durable from here on, so every later
+        # commit is exactly one file fsync
         _fsync_dir(self.wal_root)
-
-    def _open_lane(self, shard: int) -> _Lane:
-        if shard < 0:
-            raise WalError(f"invalid shard id {shard} in WAL append")
-        lane = _Lane(self._gen_dir / f"lane-{shard:04d}.wal",
-                     self.key_dtype)
-        self._lanes[shard] = lane
-        return lane
 
 
 # ----------------------------------------------------------------------
 # reading
 # ----------------------------------------------------------------------
-def read_lane(path: str | Path) -> tuple[list[WalRecord], bool]:
-    """Decode one lane file: ``(records, torn)``.
+def read_generation(path: str | Path) -> tuple[list[WalRecord], bool]:
+    """Decode one generation file: ``(records, torn)``.
 
     Reads frames until the file ends cleanly or a frame fails (short
     header, short payload, CRC mismatch).  A failing *final* frame is a
     torn tail — the crash the WAL exists to survive — and simply ends
-    the lane (``torn=True``).  A failing frame with intact frames after
-    it means mid-file damage and raises :class:`WalError`: replaying
-    past silent corruption would resurrect an inconsistent history.
+    the log (``torn=True``): the records before it are an exact prefix
+    of what was applied.  A failing frame with intact frames after it
+    means mid-file damage and raises :class:`WalError`: replaying past
+    silent corruption would resurrect an inconsistent history.
     """
     path = Path(path)
     blob = path.read_bytes()
     if len(blob) < _HEADER.size:
-        # a crash during the lane's very first append can leave a
-        # truncated (or empty) header: a torn, record-less lane, not
-        # corruption
+        # a crash right after the file's creation can leave a truncated
+        # (or empty) header: a torn, record-less log, not corruption
         return [], True
     magic, version, dtype_len = _HEADER.unpack_from(blob, 0)
     if magic != WAL_MAGIC:
-        raise WalError(f"{path} is not a WAL lane (bad magic)")
-    if version > WAL_VERSION or version < 1:
+        raise WalError(f"{path} is not a WAL file (bad magic)")
+    if version != WAL_VERSION:
         raise WalError(
             f"{path} uses WAL format version {version}; this library "
-            f"reads versions 1..{WAL_VERSION}"
+            f"reads version {WAL_VERSION} only"
         )
     offset = _HEADER.size
     if offset + dtype_len > len(blob):
@@ -465,28 +437,15 @@ def _has_intact_frame_after(blob: bytes, offset: int,
     return False
 
 
-def read_generation(gen_dir: str | Path) -> tuple[list[WalRecord], bool]:
-    """All records of one generation, merged by LSN: ``(records, torn)``."""
-    gen_dir = Path(gen_dir)
-    records: list[WalRecord] = []
-    torn = False
-    for lane_path in sorted(gen_dir.iterdir()):
-        if not _LANE_RE.match(lane_path.name):
-            continue
-        lane_records, lane_torn = read_lane(lane_path)
-        records.extend(lane_records)
-        torn = torn or lane_torn
-    records.sort(key=lambda r: r.lsn)
-    return records, torn
-
-
 def read_wal(wal_root: str | Path, min_generation: int = 0,
              ) -> tuple[list[WalRecord], bool]:
-    """Merge every generation ``>= min_generation`` into one LSN-ordered
-    record list: ``(records, torn)``.
+    """Every generation ``>= min_generation`` as one LSN-ordered record
+    list: ``(records, torn)``.
 
-    ``torn`` reports whether any lane ended in a torn tail — expected
-    after a crash, interesting for diagnostics either way.
+    Generations are read in order and each is already in LSN order, so
+    there is nothing to merge.  ``torn`` reports whether any generation
+    ended in a torn tail — expected after a crash, interesting for
+    diagnostics either way.
     """
     wal_root = Path(wal_root)
     records: list[WalRecord] = []
@@ -495,11 +454,9 @@ def read_wal(wal_root: str | Path, min_generation: int = 0,
         if gen < min_generation:
             continue
         gen_records, gen_torn = read_generation(
-            wal_root / generation_dirname(gen)
-        )
+            _generation_path(wal_root, gen))
         records.extend(gen_records)
         torn = torn or gen_torn
-    records.sort(key=lambda r: r.lsn)
     return records, torn
 
 
@@ -512,9 +469,7 @@ __all__ = [
     "WalError",
     "WalRecord",
     "WalWriter",
-    "generation_dirname",
     "list_generations",
     "read_generation",
-    "read_lane",
     "read_wal",
 ]

@@ -7,8 +7,9 @@ interchangeable implementations of every kernel:
   nogil=True)`` (:mod:`~repro.kernels.cpu` source compiled by
   :mod:`~repro.kernels.numba_backend`); ``nogil`` gives the
   ``BatchExecutor`` thread pool real CPU parallelism;
-* **numpy** — the original lane-parallel array passes
-  (:mod:`~repro.kernels.numpy_impl`), always available, bit-identical.
+* **numpy** — always available, bit-identical: the model and layer
+  objects' own array passes for predict/correct, ending in the
+  lane-parallel search kernels of :mod:`~repro.kernels.numpy_impl`.
 
 Which one is live is decided once, here, and recorded in
 :data:`REGISTRY` (a :class:`~repro.kernels.registry.KernelRegistry`) so
@@ -86,7 +87,9 @@ _KERNELS = (
 for _name, _attr, _doc in _KERNELS:
     REGISTRY.register(
         _name,
-        numpy_impl=getattr(numpy_impl, _attr),
+        # predict.*/fused.* have no numpy kernel: the numpy pipeline runs
+        # those steps on the model/layer objects themselves
+        numpy_impl=getattr(numpy_impl, _attr, None),
         numba_impl=(
             getattr(numba_backend, _attr) if numba_backend is not None
             else None

@@ -80,9 +80,8 @@ def run_plan(plan: KernelPlan, keys, queries, impls) -> np.ndarray:
     """Execute a plan with the given kernel namespace.
 
     ``impls`` is any object exposing the kernel functions by name — the
-    compiled :mod:`~repro.kernels.numba_backend`, the interpreted
-    :mod:`~repro.kernels.cpu` (parity tests), or the array-pass
-    :mod:`~repro.kernels.numpy_impl`.
+    compiled :mod:`~repro.kernels.numba_backend` or the interpreted
+    :mod:`~repro.kernels.cpu` (parity tests).
     """
     nq = queries.shape[0]
     pred = np.empty(nq, dtype=np.float64)

@@ -1,18 +1,18 @@
-"""Pure-numpy kernel implementations (the guaranteed fallback).
+"""Pure-numpy search kernels (the guaranteed fallback).
 
-Every function mirrors a :mod:`repro.kernels.cpu` kernel with the *same
-signature* (preallocated int64/float64 ``out``), so the registry can swap
+Both functions mirror a :mod:`repro.kernels.cpu` search kernel with the
+*same signature* (preallocated int64 ``out``), so the registry can swap
 backends without callers caring which one is live, and the parity suite
 can run the interpreted per-lane kernels against these array passes
 input-for-input.
 
-The search kernels are the engine's original lane-parallel
-implementations (formerly in :mod:`repro.search.batch`): every numpy pass
-halves all still-open windows at once, so a batch resolves in
-``O(log max_window)`` vectorised passes regardless of batch size.  The
-predict/fused mirrors compose the exact expressions the model classes use
-in ``predict_pos_batch`` — same float64 operation order, so results are
-bit-identical to the model-object path.
+These are the engine's original lane-parallel implementations (formerly
+in :mod:`repro.search.batch`): every numpy pass halves all still-open
+windows at once, so a batch resolves in ``O(log max_window)`` vectorised
+passes regardless of batch size.  Predict and correct have no numpy
+kernel here: the numpy pipeline runs them on the model and layer objects
+(``model.predict_pos_batch`` → ``layer.window_batch``/``correct_batch``)
+and ends in :func:`validated_search`.
 """
 
 from __future__ import annotations
@@ -78,120 +78,3 @@ def validated_search(data, queries, starts, widths, out):
     hi = np.clip(starts + widths + 1, lo, n)
     out[:] = _validated(data, queries, lo, hi)
     return out
-
-
-# ----------------------------------------------------------------------
-# predict (array mirrors of the model classes' predict_pos_batch)
-# ----------------------------------------------------------------------
-def predict_interpolation(keys, kmin, scale, out):
-    out[:] = (keys.astype(np.float64) - kmin) * scale
-    return out
-
-
-def predict_affine(keys, slope, intercept, out):
-    out[:] = slope * keys.astype(np.float64) + intercept
-    return out
-
-
-def predict_rmi_linear(keys, a, b, slopes, intercepts, nleaves, leaf, out):
-    x = keys.astype(np.float64)
-    leaf[:] = np.clip(a * x + b, 0, nleaves - 1).astype(np.int64)
-    out[:] = slopes[leaf] * x + intercepts[leaf]
-    return out
-
-
-def predict_rmi_cubic(keys, c3, c2, c1, c0, kmin, span, slopes, intercepts,
-                      nleaves, leaf, out):
-    x = keys.astype(np.float64)
-    t = (x - kmin) / span
-    raw = ((c3 * t + c2) * t + c1) * t + c0
-    leaf[:] = np.clip(raw, 0, nleaves - 1).astype(np.int64)
-    out[:] = slopes[leaf] * x + intercepts[leaf]
-    return out
-
-
-def predict_rmi_radix_signed(keys, base, shift, slopes, intercepts, nleaves,
-                             leaf, out):
-    raw = (
-        (np.maximum(keys.astype(np.int64) - base, 0)) >> shift
-    ).astype(np.float64)
-    leaf[:] = np.clip(raw, 0, nleaves - 1).astype(np.int64)
-    out[:] = slopes[leaf] * keys.astype(np.float64) + intercepts[leaf]
-    return out
-
-
-def predict_rmi_radix_unsigned(keys, base, shift, slopes, intercepts,
-                               nleaves, leaf, out):
-    # stay in uint64: keys >= 2^63 would wrap through int64
-    k = keys.astype(np.uint64)
-    b = np.uint64(base)
-    diff = np.where(k > b, k - b, np.uint64(0))
-    leaf[:] = np.minimum(
-        diff >> np.uint64(shift), np.uint64(nleaves - 1)
-    ).astype(np.int64)
-    out[:] = slopes[leaf] * keys.astype(np.float64) + intercepts[leaf]
-    return out
-
-
-def predict_radix_spline(keys, sp_keys, sp_pos, out):
-    k = keys.astype(np.float64)
-    npts = len(sp_keys)
-    right = np.searchsorted(sp_keys, k, side="left")
-    right = np.clip(right, 1, npts - 1)
-    x0 = sp_keys[right - 1]
-    x1 = sp_keys[right]
-    y0 = sp_pos[right - 1]
-    y1 = sp_pos[right]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(x1 > x0, (k - x0) / (x1 - x0), 1.0)
-    pred = y0 + np.clip(frac, 0.0, 1.0) * (y1 - y0)
-    pred = np.where(k <= sp_keys[0], 0.0, pred)
-    out[:] = np.where(k >= sp_keys[-1], sp_pos[-1], pred)
-    return out
-
-
-# ----------------------------------------------------------------------
-# fused correct + search (array mirrors of layer.window_batch /
-# layer.correct_batch composed with the validated search)
-# ----------------------------------------------------------------------
-def _predicted(pred, n):
-    """``predicted_index_batch``: clip in float space, then cast."""
-    return np.clip(pred, 0, n - 1).astype(np.int64)
-
-
-def _partition(pred, same, ratio, m):
-    """``partition_index_batch`` with the pre-rounded build ratio."""
-    scaled = pred if same else pred * ratio
-    return np.clip(scaled, 0, m - 1).astype(np.int64)
-
-
-def fused_window_search(keys, queries, pred, deltas, widths, same, ratio, m,
-                        out):
-    n = len(keys)
-    j = _partition(pred, same, ratio, m)
-    predi = _predicted(pred, n)
-    return validated_search(
-        keys, queries, predi + deltas[j].astype(np.int64),
-        widths[j].astype(np.int64), out
-    )
-
-
-def fused_point_search(keys, queries, pred, drifts, same, ratio, m, radius,
-                       out):
-    n = len(keys)
-    j = _partition(pred, same, ratio, m)
-    corrected = np.clip(_predicted(pred, n) + drifts[j], 0, n - 1)
-    widths = np.full(queries.shape, 2 * radius, dtype=np.int64)
-    return validated_search(keys, queries, corrected - radius, widths, out)
-
-
-def fused_leaf_bounds_search(keys, queries, pred, leaf, err_lo, err_hi, out):
-    e_lo = err_lo[leaf]
-    starts = _predicted(pred, len(keys)) + e_lo
-    return validated_search(keys, queries, starts, err_hi[leaf] - e_lo, out)
-
-
-def fused_const_bounds_search(keys, queries, pred, e_lo, e_hi, out):
-    starts = _predicted(pred, len(keys)) + e_lo
-    widths = np.full(queries.shape, e_hi - e_lo, dtype=np.int64)
-    return validated_search(keys, queries, starts, widths, out)

@@ -1,8 +1,9 @@
 """Kernel registry: which implementation of each hot-path kernel is live.
 
-The compiled hot path has exactly two implementations per kernel — a
-numba ``@njit(cache=True, nogil=True)`` build and a guaranteed pure-numpy
-fallback — and exactly one of them is *live* at any moment.  The registry
+The hot path has two implementations — a numba ``@njit(cache=True,
+nogil=True)`` build of every kernel and a guaranteed pure-numpy fallback
+(search kernels here; predict/correct on the model and layer objects) —
+and exactly one of them is *live* at any moment.  The registry
 is the single source of truth for that choice, so backends, sanitizers,
 the linter and the benchmarks can all introspect (and force) which path
 their numbers came from instead of guessing from import side effects.
@@ -38,7 +39,9 @@ class KernelEntry:
     """One named kernel with its per-backend implementations."""
 
     name: str
-    numpy_impl: Callable
+    #: None for the predict/fused kernels, which only exist compiled
+    #: (the numpy pipeline runs those steps on the model/layer objects)
+    numpy_impl: Callable | None = None
     numba_impl: Callable | None = None
     description: str = ""
     #: the uncompiled python source of the numba kernel (same algorithm,
@@ -64,7 +67,7 @@ class KernelRegistry:
     def register(
         self,
         name: str,
-        numpy_impl: Callable,
+        numpy_impl: Callable | None = None,
         numba_impl: Callable | None = None,
         description: str = "",
         python_impl: Callable | None = None,

@@ -49,12 +49,13 @@ from ..engine.durability import (
     is_durable_dir,
     replay_directory,
 )
-from ..engine.persist import IndexPersistError, _fsync_dir, load_shard_segment
+from ..engine.persist import IndexPersistError, load_shard_segment
 from ..engine.wal import (
     OP_DELETE,
     OP_INSERT,
     WalError,
     WalWriter,
+    _fsync_dir,
     list_generations,
     read_wal,
 )
@@ -316,7 +317,7 @@ class ReplicaIndex:
         self.bytes_streamed = 0  # live wal frame bytes received
         self.streamed_records = 0
         self.filtered = 0  # records already inside a synced segment
-        self.apply_skipped = 0  # deletes whose insert a torn tail lost
+        self.apply_skipped = 0  # deletes of absent keys (fault detector)
         self.full_syncs = 0
         self.resyncs = 0
         self.subscriptions = 0
@@ -352,18 +353,18 @@ class ReplicaIndex:
         if np.dtype(state.key_dtype) != np.dtype(hello["key_dtype"]):
             raise ReplicaError(
                 "local key dtype differs from the leader's")
-        # WAL lanes are per-shard files, so a torn tail can lose a
-        # mid-LSN record while sibling lanes keep higher LSNs.  A
-        # leader may shrug (those writes were never acknowledged); a
-        # replica resuming past the gap would silently diverge from
-        # the leader forever.  Demand contiguity or re-ship.
+        # fault detector: the log is one append-only file per
+        # generation, so a crash leaves an LSN-contiguous prefix and
+        # this cannot fire — but a replica resuming past a gap (damaged
+        # or hand-edited files) would silently diverge from the leader
+        # forever.  Demand contiguity or re-ship.
         records, _torn = await loop.run_in_executor(
             None, read_wal, self.directory / "wal", state.generation)
         lsns = [r.lsn for r in records]
         if lsns and lsns != list(range(lsns[0], lsns[0] + len(lsns))):
             raise ReplicaError(
-                "local WAL lost a mid-run record (torn lane) — the "
-                "tail is not contiguous; full sync required")
+                "local WAL lost a mid-run record — the tail is not "
+                "contiguous; full sync required")
         state.index.source = "replica"
         gens = await loop.run_in_executor(
             None, list_generations, self.directory / "wal")

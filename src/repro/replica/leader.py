@@ -12,8 +12,8 @@ Two services share one framed TLV connection per follower
 * :class:`WalStreamer` — tails committed WAL records to subscribed
   followers.  Records are captured at the engine apply point (a
   :meth:`~repro.engine.durability.DurabilityManager.add_record_listener`
-  tap fires under the owning shard's write lock), reassembled into
-  contiguous LSN order by a bounded :class:`_RecordBuffer`, and pushed
+  tap fires under the engine write lock, in LSN order), held in a
+  bounded LSN-keyed :class:`_RecordBuffer`, and pushed
   as columnar frames — only records at or below ``durable_lsn``, so a
   follower never applies a write the leader could lose in a crash.
 
@@ -78,12 +78,11 @@ def _read_chunk(path: Path, offset: int, size: int) -> tuple[bytes, int]:
 
 
 class _RecordBuffer:
-    """Bounded in-memory WAL tail, reassembled into contiguous LSN order.
+    """Bounded in-memory WAL tail, keyed by LSN.
 
-    Record listeners fire per append under the owning shard's write
-    lock, so concurrent distinct-shard writers deliver out of LSN
-    order; the buffer keys by LSN and :meth:`run_from` hands out only
-    *contiguous* runs, restoring the total order followers apply.
+    Record listeners fire per append under the engine write lock, in
+    LSN order; :meth:`run_from` still hands out only *contiguous* runs
+    (a fault detector: a follower is never pushed past a gap).
     ``floor`` is the highest LSN the buffer no longer holds — a
     subscriber whose cursor falls below it missed evicted records and
     must resync from disk (or re-ship the generation).
@@ -227,7 +226,7 @@ class WalStreamer:
             self._attached = False
 
     def _on_record(self, lsn: int, op: int, shard: int, key) -> None:
-        # fires under the owning shard's write lock: just buffer it
+        # fires under the engine write lock: just buffer it
         self.buffer.add(lsn, op, shard, key)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,6 @@ This file is never imported, only parsed.
 
 import threading
 
-from repro.engine.locks import EngineWriteLock
 from repro.engine.sharded import WriteEvent
 
 
@@ -35,29 +34,3 @@ def emit_locked(index, key):
     with index._write_lock:
         return WriteEvent("insert", 0, key)
 
-
-class ShardedEngine:
-    """Two-level lock discipline: shared fast path done right."""
-
-    def __init__(self):
-        self._write_lock = EngineWriteLock()
-        self._meta_lock = threading.RLock()
-        self._dirty = False
-        self.offsets = [0]
-
-    def split(self):
-        # exclusive mode licenses structural state
-        with self._write_lock:
-            self.offsets = [0, 1]
-            self._dirty = True
-            return WriteEvent("insert", 0, 1)
-
-    def insert_fast(self, shard, key):
-        # shared mode + the shard's own lock covers per-shard content;
-        # cross-shard metadata moves under the meta lock
-        with self._write_lock.shared():
-            with shard.lock:
-                shard.insert(key)
-                with self._meta_lock:
-                    self._dirty = True
-                    return WriteEvent("insert", 0, key)

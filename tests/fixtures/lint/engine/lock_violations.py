@@ -5,7 +5,6 @@ This file is never imported, only parsed.
 
 import threading
 
-from repro.engine.locks import EngineWriteLock
 from repro.engine.sharded import WriteEvent
 
 
@@ -34,22 +33,3 @@ class Engine:
 def make_event(key):
     return WriteEvent("insert", 0, key)  # expect: RPR202
 
-
-class ShardedEngine:
-    """Two-level lock misuse: structural state under shared mode."""
-
-    def __init__(self):
-        self._write_lock = EngineWriteLock()
-        self._dirty = False
-        self.offsets = [0]
-
-    def split(self):
-        with self._write_lock:  # exclusive: registers the state
-            self.offsets = [0, 1]
-            self._dirty = True
-
-    def insert_fast(self, shard, key):
-        with self._write_lock.shared():
-            shard.insert(key)
-            self.offsets = [0, 2]  # expect: RPR203
-            self._dirty = True  # expect: RPR203

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.engine import ShardedIndex
 from repro.engine.durability import (
     DURABLE_FORMAT_VERSION,
@@ -34,8 +35,9 @@ from repro.engine.durability import (
     DurabilityError,
     DurabilityManager,
     is_durable_dir,
+    replay_directory,
 )
-from repro.engine.wal import list_generations
+from repro.engine.wal import WalError, list_generations
 from repro.serve import IndexServer
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -255,6 +257,26 @@ class TestErrors:
         with pytest.raises(DurabilityError, match="version"):
             DurabilityManager.recover(tmp_path / "db")
 
+    def test_old_lane_layout_is_refused_by_version(self, tmp_path):
+        """A format-version-1 directory (``wal/g<gen>/lane-<shard>.wal``)
+        must be rejected naming the version — never read as "no
+        records", which would silently drop its un-checkpointed tail."""
+        db = tmp_path / "db"
+        DurabilityManager.create(build(make_keys(200)), db).close()
+        (log,) = (db / "wal").iterdir()
+        log.unlink()
+        lanes = db / "wal" / log.stem  # g<gen>/ as version 1 laid it out
+        lanes.mkdir()
+        (lanes / "lane-0000.wal").write_bytes(b"RWAL\x01\x00\x03\x00<u8")
+        with pytest.raises(WalError, match="version 1"):
+            repro.open(db)
+        manifest_path = db / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(DurabilityError, match="version 1"):
+            repro.open(db)
+
     def test_garbage_manifest_rejected(self, tmp_path):
         index = build(make_keys(200))
         DurabilityManager.create(index, tmp_path / "db").close()
@@ -305,6 +327,66 @@ class TestCrashCutProperty:
         rec = DurabilityManager.recover(crash)
         assert np.sort(rec.index.keys).tolist() == prefix
         rec.close()
+
+    #: 8-byte frame header + (13-byte payload head + 8-byte uint64 key)
+    FRAME = 8 + 13 + 8
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, (1 << 42) - 1)),
+            min_size=2, max_size=8,
+        ),
+        sync=st.sampled_from(["group", "async"]),
+        data=st.data(),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_truncated_log_recovers_an_exact_prefix(
+            self, tmp_path_factory, ops, sync, data):
+        """One log per generation: whatever a crash leaves of it is a
+        prefix of the applied history.  Cut the log at *every* byte
+        offset; recovery must equal the oracle after exactly the intact
+        frames, nothing skipped — and mid-file damage is still refused,
+        not replayed around."""
+        db = tmp_path_factory.mktemp("prefix") / "db"
+        base = np.arange(1, 257, dtype=np.uint64) << np.uint64(34)
+        index = build(base, shards=4)  # writes spread over all 4 shards
+        oracle = [int(k) for k in base]
+        mgr = DurabilityManager.create(index, db, sync=sync)
+        states = [sorted(oracle)]
+        for is_insert, value in ops:
+            if is_insert:
+                index.insert(np.uint64(value))
+                oracle.append(value)
+            else:
+                index.delete(np.uint64(oracle.pop(value % len(oracle))))
+            states.append(sorted(oracle))
+        mgr.close()
+
+        (log,) = (db / "wal").iterdir()  # one file per generation
+        blob = log.read_bytes()
+        header = len(blob) - self.FRAME * len(ops)
+
+        def intact(cut):
+            return max(0, (cut - header) // self.FRAME)
+
+        for cut in range(len(blob) + 1):
+            log.write_bytes(blob[:cut])
+            state = replay_directory(db)  # recovery's (pure) read side
+            assert np.sort(state.index.keys).tolist() \
+                == states[intact(cut)], cut
+            assert state.skipped == 0
+
+        damaged = bytearray(blob)
+        damaged[header + 10] ^= 0xFF  # first frame; intact ones follow
+        log.write_bytes(bytes(damaged))
+        with pytest.raises(WalError, match="mid-file"):
+            replay_directory(db)
+
+        cut = data.draw(st.integers(0, len(blob)), label="cut")
+        log.write_bytes(blob[:cut])
+        with repro.open(db) as recovered:
+            assert recovered.keys.tolist() == states[intact(cut)]
+            assert recovered.durability.skipped == 0
 
 
 # ----------------------------------------------------------------------

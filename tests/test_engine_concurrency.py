@@ -228,34 +228,7 @@ class TestLockSanitizer:
             index.insert(np.uint64(3))
         finally:
             san.uninstall()
-        # after uninstall the original lock object is restored
         index.insert(np.uint64(5))
-
-    def test_wrong_shard_lock_raises(self, rng):
-        # shared engine mode lets a writer mutate shard content, but
-        # only under *that shard's* own lock: emitting a shard-A event
-        # while holding shard B's lock must trip the sanitizer
-        from repro.analysis import LockSanitizer, SanitizerError
-
-        _, index = build_index(rng, n=512, shards=4)
-        global_san = getattr(index, "_lock_sanitizer", None)
-        if global_san is not None:
-            global_san.uninstall()
-        san = LockSanitizer.install(index)
-        try:
-            with index._write_lock.shared():
-                with index.shards[1].lock:  # the *wrong* shard's lock
-                    with pytest.raises(SanitizerError,
-                                       match="without holding"):
-                        index._notify(WriteEvent("insert", 0, np.uint64(7)))
-            assert san.violations == 1
-            # the right shard's lock under shared mode stays clean
-            with index._write_lock.shared():
-                with index.shards[0].lock:
-                    index._notify(WriteEvent("insert", 0, np.uint64(7)))
-            assert san.violations == 1
-        finally:
-            san.uninstall()
 
     def test_keys_property_locks_against_writers(self, rng):
         # regression for the race fixed in this PR: ShardedIndex.keys
@@ -293,7 +266,7 @@ class TestLockSanitizer:
 
 
 # ----------------------------------------------------------------------
-# per-shard write locks (ISSUE 9): distinct shards really overlap
+# one writer at a time: a writer inside a shard holds THE engine lock
 # ----------------------------------------------------------------------
 def _fresh_key_in_shard(index, keys, rng, shard):
     """A key routed to ``shard`` that is not already stored."""
@@ -305,9 +278,8 @@ def _fresh_key_in_shard(index, keys, rng, shard):
 
 
 class _ParkedInsert:
-    """Park a writer *inside* ``shard.insert`` (shared mode + shard lock
-    held) so tests can probe what the rest of the engine may do
-    meanwhile."""
+    """Park a writer *inside* ``shard.insert`` (engine write lock held)
+    so tests can probe what the rest of the engine may do meanwhile."""
 
     def __init__(self, index, shard_id, key):
         self.index = index
@@ -338,54 +310,40 @@ class _ParkedInsert:
 
 
 class TestPerShardLocking:
-    """The engine lock's shared mode: per-shard writers overlap, while
-    structural work still stops the world."""
-
-    def test_distinct_shard_writers_overlap(self, rng):
-        keys, index = build_index(rng, n=4000, shards=4)
-        ka = _fresh_key_in_shard(index, keys, rng, 0)
-        kb = _fresh_key_in_shard(index, keys, rng, 3)
-        with _ParkedInsert(index, 0, ka) as parked:
-            # writer A is wedged inside shard 0 holding shared engine
-            # mode plus shard 0's lock; a shard-3 writer must not wait
-            done = threading.Event()
-
-            def other_writer():
-                index.insert(kb)
-                done.set()
-
-            t = threading.Thread(target=other_writer)
-            t.start()
-            assert done.wait(timeout=10), (
-                "a shard-3 insert blocked behind a parked shard-0 insert"
-            )
-            t.join(timeout=10)
-            assert parked.thread.is_alive()  # A is still parked
-        expected = np.sort(np.concatenate(
-            [keys, np.asarray([ka, kb], dtype=np.uint64)]))
-        assert_matches_oracle(index, expected)
+    """One engine lock: a writer anywhere serialises every other writer
+    and all structural work."""
 
     def test_structural_work_waits_for_shared_writers(self, rng):
-        # exclusive mode (splits, merges, refreshes, checkpoints) must
-        # serialise against every in-flight per-shard writer
+        # a writer parked inside one shard blocks structural work
+        # (splits, merges, refreshes, checkpoints all take the same
+        # lock) *and* every other writer, whatever shard it targets
         keys, index = build_index(rng, n=4000, shards=4)
         ka = _fresh_key_in_shard(index, keys, rng, 1)
+        kb = _fresh_key_in_shard(index, keys, rng, 3)
+        other = threading.Thread(target=index.insert, args=(kb,))
         with _ParkedInsert(index, 1, ka):
             assert not index._write_lock.acquire(timeout=0.2), (
-                "exclusive mode granted while a shared writer was live"
+                "the engine lock was granted while a writer was live"
             )
-        # the parked writer has drained: exclusive mode is available now
+            other.start()
+            other.join(timeout=0.2)
+            assert other.is_alive(), (
+                "a shard-3 insert ran beside a parked shard-1 insert"
+            )
+        other.join(timeout=10)
+        assert not other.is_alive()
+        # the parked writer has drained: the lock is available now
         assert index._write_lock.acquire(timeout=10)
         index._write_lock.release()
         assert_matches_oracle(
             index,
-            np.sort(np.concatenate([keys, np.asarray([ka], np.uint64)])),
+            np.sort(np.concatenate(
+                [keys, np.asarray([ka, kb], np.uint64)])),
         )
 
     def test_cross_shard_split_serialises_with_shared_writer(self, rng):
-        # a split-bound insert abandons the shared fast path and queues
-        # for exclusive mode; it must wait out a parked shared writer
-        # and still split correctly afterwards
+        # a split-bound insert on another shard must wait out a parked
+        # writer and still split correctly afterwards
         keys, index = build_index(rng, n=4000, shards=4)
         ka = _fresh_key_in_shard(index, keys, rng, 0)
         kc = _fresh_key_in_shard(index, keys, rng, 2)
@@ -403,7 +361,7 @@ class TestPerShardLocking:
             t.start()
             time.sleep(0.1)
             assert not done.is_set(), (
-                "a structural (split) insert ran while a shared writer "
+                "a structural (split) insert ran while another writer "
                 "held the engine lock"
             )
             assert parked.thread.is_alive()
@@ -414,17 +372,9 @@ class TestPerShardLocking:
             [keys, np.asarray([ka, kc], dtype=np.uint64)]))
         assert_matches_oracle(index, expected)
 
-    def test_upgrade_is_refused(self, rng):
-        from repro.engine.locks import LockUpgradeError
-
-        _, index = build_index(rng, n=64)
-        with index._write_lock.shared():
-            with pytest.raises(LockUpgradeError):
-                index._write_lock.acquire()
-
     def test_hammer_per_shard_writers_with_sanitizer(self, rng):
-        # many threads, disjoint key ranges → mostly distinct shards,
-        # with the sanitizer auditing every emitted event's locks
+        # more threads than cores, keys spread over every shard, with
+        # the sanitizer auditing every emitted event's lock ownership
         from repro.analysis import LockSanitizer
 
         keys, index = build_index(rng, n=4000, shards=4)

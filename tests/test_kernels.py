@@ -113,6 +113,9 @@ def test_every_entry_has_python_source_twin():
         entry = REGISTRY.entry(name)
         assert entry.python_impl is not None
         assert entry.numpy_impl is not entry.python_impl
+        # only the search kernels have a numpy side; the numpy pipeline
+        # runs predict/correct on the model and layer objects
+        assert (entry.numpy_impl is not None) == name.startswith("search.")
 
 
 # ----------------------------------------------------------------------
@@ -350,11 +353,8 @@ def test_kernel_parity_fixed_dataset(model_name, layer_name):
     plan = dispatch.build_plan(index.model, index.layer, len(keys))
     if plan is None:
         return
-    for impls in (cpu, numpy_impl):
-        got = dispatch.run_plan(plan, keys, queries, impls)
-        np.testing.assert_array_equal(
-            got, oracle, err_msg=f"impls={impls.__name__}"
-        )
+    np.testing.assert_array_equal(
+        dispatch.run_plan(plan, keys, queries, cpu), oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -364,10 +364,8 @@ def test_kernel_parity_property_interpolation_window(keys, seed):
     queries = queries_for(keys, rng_seed=seed, count=32)
     oracle = scalar_oracle(index, queries)
     plan = dispatch.build_plan(index.model, index.layer, len(keys))
-    for impls in (cpu, numpy_impl):
-        np.testing.assert_array_equal(
-            dispatch.run_plan(plan, keys, queries, impls), oracle
-        )
+    np.testing.assert_array_equal(
+        dispatch.run_plan(plan, keys, queries, cpu), oracle)
     set_kernel_mode("numpy")
     np.testing.assert_array_equal(
         index.lookup_batch_vectorized(queries), oracle
@@ -384,10 +382,12 @@ def test_kernel_parity_property_rmi_point_correction(keys, seed):
     queries = queries_for(keys, rng_seed=seed, count=32)
     oracle = scalar_oracle(index, queries)
     plan = dispatch.build_plan(index.model, index.layer, len(keys))
-    for impls in (cpu, numpy_impl):
-        np.testing.assert_array_equal(
-            dispatch.run_plan(plan, keys, queries, impls), oracle
-        )
+    np.testing.assert_array_equal(
+        dispatch.run_plan(plan, keys, queries, cpu), oracle)
+    set_kernel_mode("numpy")
+    np.testing.assert_array_equal(
+        index.lookup_batch_vectorized(queries), oracle
+    )
 
 
 # ----------------------------------------------------------------------

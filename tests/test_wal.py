@@ -1,15 +1,16 @@
 """WAL framing, group commit, rotation and torn-tail semantics.
 
 The format contract under test (:mod:`repro.engine.wal`): CRC-framed
-records in per-shard lane files, grouped into numbered generations;
-readers merge lanes by LSN, tolerate a torn final frame per lane
-(crash mid-append), and refuse mid-file corruption (bit rot is not a
-crash artifact).
+records in one append-only file per numbered generation; readers
+tolerate a torn final frame (crash mid-append: what is left is a prefix
+of the applied history), and refuse mid-file corruption (bit rot is not
+a crash artifact) and old per-shard-lane layouts.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -22,9 +23,8 @@ from repro.engine.wal import (
     WAL_SYNC_MODES,
     WalError,
     WalWriter,
-    generation_dirname,
     list_generations,
-    read_lane,
+    read_generation,
     read_wal,
 )
 
@@ -34,32 +34,14 @@ def make_writer(tmp_path, **kwargs):
     return WalWriter(tmp_path / "wal", np.dtype(np.uint64), **kwargs)
 
 
-def lane_path(tmp_path, generation, shard):
-    return (tmp_path / "wal" / generation_dirname(generation)
-            / f"lane-{shard:04d}.wal")
+def gen_path(tmp_path, generation):
+    return tmp_path / "wal" / f"g{generation:010d}.wal"
 
 
 # ----------------------------------------------------------------------
 # framing round trips
 # ----------------------------------------------------------------------
 class TestFraming:
-    def test_round_trip_across_lanes(self, tmp_path):
-        with make_writer(tmp_path) as wal:
-            expect = []
-            for i in range(100):
-                op = OP_INSERT if i % 3 else OP_DELETE
-                shard = i % 4
-                key = (i * 977) % (1 << 42)
-                lsn = wal.append(op, shard, key)
-                expect.append((lsn, op, shard, key))
-            wal.commit()
-        records, torn = read_wal(tmp_path / "wal")
-        assert not torn
-        got = [(r.lsn, r.op, r.shard, int(r.key)) for r in records]
-        assert got == expect
-        # merged strictly by LSN despite living in four lane files
-        assert [r.lsn for r in records] == list(range(1, 101))
-
     def test_lsns_are_monotonic_and_start_at_start_lsn(self, tmp_path):
         with make_writer(tmp_path, start_lsn=500) as wal:
             assert wal.append(OP_INSERT, 0, 1) == 500
@@ -130,6 +112,7 @@ class TestCommit:
         wal.commit()
         records, torn = read_wal(tmp_path / "wal")
         assert not torn and len(records) == 1
+        wal.close()
 
     def test_close_commits_and_rejects_appends(self, tmp_path):
         wal = make_writer(tmp_path)
@@ -140,6 +123,55 @@ class TestCommit:
         with pytest.raises(WalError, match="closed"):
             wal.append(OP_INSERT, 0, 2)
         wal.close()  # idempotent
+
+    def test_commit_is_one_fsync_however_many_shards(
+            self, tmp_path, monkeypatch):
+        wal = make_writer(tmp_path)
+        for shard in range(4):
+            wal.append(OP_INSERT, shard, shard)
+        synced = []
+        monkeypatch.setattr("repro.engine.wal.os.fsync", synced.append)
+        assert wal.commit() == 4
+        assert len(synced) == 1
+        monkeypatch.undo()
+        wal.close()
+        assert len(list((tmp_path / "wal").iterdir())) == 1
+
+    def test_append_is_not_parked_behind_an_inflight_fsync(
+            self, tmp_path, monkeypatch):
+        """The serving layer runs group fsyncs off the event loop; an
+        append arriving mid-fsync must return (it runs *on* the loop)
+        and must not be covered by that commit's ``durable_lsn``."""
+        wal = make_writer(tmp_path)
+        wal.append(OP_INSERT, 0, 1)
+        in_fsync, let_go = threading.Event(), threading.Event()
+
+        def parked_fsync(fd):
+            in_fsync.set()
+            assert let_go.wait(timeout=10)
+
+        monkeypatch.setattr("repro.engine.wal.os.fsync", parked_fsync)
+        committed = []
+        committer = threading.Thread(
+            target=lambda: committed.append(wal.commit()))
+        committer.start()
+        assert in_fsync.wait(timeout=10)
+        appended = []
+        appender = threading.Thread(
+            target=lambda: appended.append(wal.append(OP_INSERT, 1, 2)))
+        appender.start()
+        appender.join(timeout=5)
+        stuck = appender.is_alive()
+        let_go.set()
+        committer.join(timeout=10)
+        appender.join(timeout=10)
+        assert not committer.is_alive() and not appender.is_alive()
+        assert not stuck, "append() blocked for the length of the fsync"
+        assert appended == [2]
+        assert committed == [1] and wal.durable_lsn == 1
+        monkeypatch.undo()
+        assert wal.commit() == 2
+        wal.close()
 
     def test_invalid_sync_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sync"):
@@ -185,31 +217,31 @@ class TestGenerations:
 # crash artifacts
 # ----------------------------------------------------------------------
 class TestTornTail:
-    def write_lane(self, tmp_path, n=5):
+    def write_log(self, tmp_path, n=5):
         with make_writer(tmp_path, sync="always") as wal:
             for i in range(n):
                 wal.append(OP_INSERT, 0, i)
-        return lane_path(tmp_path, 1, 0)
+        return gen_path(tmp_path, 1)
 
     def test_truncated_final_frame_is_a_torn_tail(self, tmp_path):
-        path = self.write_lane(tmp_path)
+        path = self.write_log(tmp_path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-3])  # knife through the last frame
-        records, torn = read_lane(path)
+        records, torn = read_generation(path)
         assert torn
         assert [int(r.key) for r in records] == [0, 1, 2, 3]
 
     def test_corrupt_final_frame_is_a_torn_tail(self, tmp_path):
-        path = self.write_lane(tmp_path)
+        path = self.write_log(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0xFF  # flip a payload byte inside the last frame
         path.write_bytes(bytes(blob))
-        records, torn = read_lane(path)
+        records, torn = read_generation(path)
         assert torn
         assert [int(r.key) for r in records] == [0, 1, 2, 3]
 
     def test_mid_file_corruption_is_not_a_crash(self, tmp_path):
-        path = self.write_lane(tmp_path)
+        path = self.write_log(tmp_path)
         blob = bytearray(path.read_bytes())
         # corrupt a payload byte inside the FIRST frame: the intact
         # frames after it prove this is damage, not a torn tail
@@ -217,41 +249,29 @@ class TestTornTail:
         blob[frame0_start + 10] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(WalError, match="corrupted mid-file"):
-            read_lane(path)
+            read_generation(path)
 
     #: 8-byte frame header + (13-byte payload head + 8-byte uint64 key)
     FRAME_SIZE = 8 + 13 + 8
 
     def test_truncated_header_reads_as_empty_torn_lane(self, tmp_path):
-        path = self.write_lane(tmp_path, n=1)
+        path = self.write_log(tmp_path, n=1)
         path.write_bytes(path.read_bytes()[:4])
-        records, torn = read_lane(path)
+        records, torn = read_generation(path)
         assert torn and records == []
 
     def test_wrong_magic_rejected(self, tmp_path):
-        path = self.write_lane(tmp_path, n=1)
+        path = self.write_log(tmp_path, n=1)
         blob = bytearray(path.read_bytes())
         blob[0:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(WalError, match="bad magic"):
-            read_lane(path)
-
-    def test_torn_tail_in_one_lane_keeps_other_lanes(self, tmp_path):
-        with make_writer(tmp_path, sync="always") as wal:
-            wal.append(OP_INSERT, 0, 100)
-            wal.append(OP_INSERT, 1, 200)
-            wal.append(OP_INSERT, 0, 300)
-        path = lane_path(tmp_path, 1, 0)
-        path.write_bytes(path.read_bytes()[:-5])
-        records, torn = read_wal(tmp_path / "wal")
-        assert torn
-        # lane 0 lost its tail record (lsn 3); lane 1 is intact
-        assert [(r.lsn, int(r.key)) for r in records] == [(1, 100), (2, 200)]
+            read_generation(path)
 
 
 class TestHeaderCompat:
     def test_dtype_mismatch_between_header_and_reader(self, tmp_path):
-        """The lane header carries the key dtype; readers honour it."""
+        """The file header carries the key dtype; readers honour it."""
         with WalWriter(tmp_path / "wal", np.dtype(np.int64)) as wal:
             wal.append(OP_INSERT, 0, -5)
         records, _ = read_wal(tmp_path / "wal")
@@ -261,13 +281,13 @@ class TestHeaderCompat:
     def test_future_version_rejected(self, tmp_path):
         path = self.bump_version(tmp_path)
         with pytest.raises(WalError, match="version"):
-            read_lane(path)
+            read_generation(path)
 
     @staticmethod
     def bump_version(tmp_path):
         with make_writer(tmp_path, sync="always") as wal:
             wal.append(OP_INSERT, 0, 1)
-        path = lane_path(tmp_path, 1, 0)
+        path = gen_path(tmp_path, 1)
         blob = bytearray(path.read_bytes())
         blob[4:6] = struct.pack("<H", 99)
         path.write_bytes(bytes(blob))
