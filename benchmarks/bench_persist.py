@@ -151,7 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     index = Index.build(keys, config, name=args.dataset)
     build_seconds = time.perf_counter() - t0
 
-    # writes before saving: the archive must carry pending deltas too
+    # writes before saving: the snapshot must carry pending deltas too
     rng = np.random.default_rng(args.seed + 1)
     for k in rng.integers(0, 1 << 40, 200, dtype=np.uint64):
         index.insert(k)
@@ -159,11 +159,12 @@ def main(argv: list[str] | None = None) -> int:
         index.delete(k)
 
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "engine.npz"
+        path = Path(tmp) / "engine.index"  # a snapshot directory
         t0 = time.perf_counter()
         index.save(path)
         save_seconds = time.perf_counter() - t0
-        size_mb = path.stat().st_size / 1e6
+        size_mb = sum(p.stat().st_size for p in path.rglob("*")
+                      if p.is_file()) / 1e6
 
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")

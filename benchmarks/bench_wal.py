@@ -11,13 +11,10 @@ Three acceptance drives for the durability layer
    run.  This prices the logging itself (buffered appends) apart from
    the fsyncs (the real cost).
 2. **Checkpoint stalls under write load** — a writer thread inserts
-   continuously while the index is flushed two ways: the PR-5
-   whole-archive ``save_index`` (holds the engine write lock end to
-   end) and the incremental ``checkpoint()`` (lock held per shard
-   snapshot only).  The writer's longest observed stall under the
-   incremental pass must stay within a small factor of **one shard's
-   flush** — the acceptance claim — while the full save stalls for the
-   whole archive.
+   continuously while the incremental ``checkpoint()`` flushes the
+   index (lock held per shard snapshot only).  The writer's longest
+   observed stall must stay within a small factor of **one shard's
+   flush** — the acceptance claim.
 3. **Recovery time vs. WAL length** — fixed checkpoint, growing WAL
    tail; recovery replays the tail into pending-update buffers without
    refitting, so the cost should scale with the tail, not the index.
@@ -46,7 +43,7 @@ except ImportError:  # direct invocation without PYTHONPATH=src
 
 import numpy as np  # noqa: E402
 
-from repro.engine import ShardedIndex, save_index  # noqa: E402
+from repro.engine import ShardedIndex  # noqa: E402
 from repro.engine.durability import DurabilityManager  # noqa: E402
 from repro.engine.persist import (  # noqa: E402
     encode_shard_state,
@@ -124,7 +121,7 @@ def phase_throughput(args, results: list[str]) -> None:
 
 
 def phase_checkpoint_stall(args, results: list[str]) -> tuple[float, float]:
-    """Max writer stall under incremental checkpoint vs. full save.
+    """Max writer stall under an incremental checkpoint.
 
     Returns ``(incremental_stall, one_shard_flush)`` for enforcement.
     """
@@ -150,33 +147,24 @@ def phase_checkpoint_stall(args, results: list[str]) -> tuple[float, float]:
         .choice(1 << 42, 500_000, replace=False).astype(np.uint64)
     )
     stop = threading.Event()
-    stalls: dict[str, float] = {}
+    worst = 0.0
 
-    def writer(label: str) -> None:
-        worst = 0.0
+    def writer() -> None:
+        nonlocal worst
         while not stop.is_set():
             t0 = time.perf_counter()
             index.insert(np.uint64(next(fresh)))
             worst = max(worst, time.perf_counter() - t0)
-        stalls[label] = worst
 
-    def measure(label: str, flush) -> float:
-        stop.clear()
-        thread = threading.Thread(target=writer, args=(label,))
-        thread.start()
-        time.sleep(0.05)  # let the writer reach steady state
-        t0 = time.perf_counter()
-        flush()
-        flush_seconds = time.perf_counter() - t0
-        time.sleep(0.05)
-        stop.set()
-        thread.join()
-        return flush_seconds
-
-    full_seconds = measure(
-        "full", lambda: save_index(index, tmp / "full.npz")
-    )
-    incr_seconds = measure("incremental", manager.checkpoint)
+    thread = threading.Thread(target=writer)
+    thread.start()
+    time.sleep(0.05)  # let the writer reach steady state
+    t0 = time.perf_counter()
+    manager.checkpoint()
+    flush_seconds = time.perf_counter() - t0
+    time.sleep(0.05)
+    stop.set()
+    thread.join()
     manager.close()
     shutil.rmtree(tmp, ignore_errors=True)
 
@@ -185,14 +173,10 @@ def phase_checkpoint_stall(args, results: list[str]) -> tuple[float, float]:
         f"K={args.shards}; one-shard flush = {one_shard_flush * 1e3:.1f} ms):"
     )
     results.append(
-        f"  full save_index:        flush {full_seconds * 1e3:>8.1f} ms, "
-        f"max writer stall {stalls['full'] * 1e3:>8.1f} ms"
+        f"  incremental checkpoint: flush {flush_seconds * 1e3:>8.1f} ms, "
+        f"max writer stall {worst * 1e3:>8.1f} ms"
     )
-    results.append(
-        f"  incremental checkpoint: flush {incr_seconds * 1e3:>8.1f} ms, "
-        f"max writer stall {stalls['incremental'] * 1e3:>8.1f} ms"
-    )
-    return stalls["incremental"], one_shard_flush
+    return worst, one_shard_flush
 
 
 def phase_recovery(args, results: list[str]) -> None:

@@ -19,9 +19,9 @@ from repro.bench.workload import env_num_keys, uniform_over_keys
 from repro.bench.harness import measure_index
 from repro.core.serialize import (
     load_layer,
-    load_simple_model,
-    save_shift_table,
-    save_simple_model,
+    load_model,
+    save_layer,
+    save_model,
 )
 from repro.datasets import load
 from repro.hardware.machine import MachineSpec
@@ -36,19 +36,19 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         layer_path = Path(tmp) / "amzn64.layer.npz"
-        model_path = Path(tmp) / "amzn64.model.json"
+        model_path = Path(tmp) / "amzn64.model.npz"
 
         # ---- build once, persist ------------------------------------
         model = InterpolationModel(keys)
         layer = ShiftTable.build(keys, model)
-        save_simple_model(model, model_path)
-        save_shift_table(layer, layer_path)
+        save_model(model, model_path)  # any model family, checksummed
+        save_layer(layer, layer_path)
         print(f"persisted model ({model_path.stat().st_size} B) and layer "
               f"({layer_path.stat().st_size / 1e6:.1f} MB on disk, "
               f"{layer.size_bytes() / 1e6:.1f} MB in memory)")
 
         # ---- serve with the layer attached ---------------------------
-        model = load_simple_model(model_path)
+        model = load_model(model_path)
         attached = CorrectedIndex(data, model, load_layer(layer_path))
         m1 = measure_index(attached, data, queries, machine)
         print(f"with layer:    {m1.ns_per_lookup:7.1f} ns/lookup "

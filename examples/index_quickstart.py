@@ -1,8 +1,9 @@
 """Public-API quickstart: the ``repro.Index`` facade front to back.
 
 One handle does the whole lifecycle — build with a validated config,
-point/range/scan queries, writes, §3.9 retuning, save to one file,
-``repro.open`` it back without refitting, and serve it over asyncio —
+point/range/scan queries, writes, §3.9 retuning, save a snapshot
+directory, ``repro.open`` it back without refitting, and serve it over
+asyncio —
 all verified against ``np.searchsorted`` ground truth.
 
 Run:  PYTHONPATH=src python examples/index_quickstart.py
@@ -46,15 +47,17 @@ def main() -> None:
 
     # 4. persist the whole engine, reopen it without refitting
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "quickstart.npz"
-        index.save(path)
+        path = Path(tmp) / "quickstart.index"
+        index.save(path)  # a directory: MANIFEST.json + segments/
         t0 = time.perf_counter()
         reopened = repro.open(path)
         open_s = time.perf_counter() - t0
         assert reopened.build_info()["source"] == "loaded"
         assert np.array_equal(reopened.lookup_many(queries),
                               index.lookup_many(queries))
-        print(f"saved {path.stat().st_size / 1e6:.1f} MB; reopened in "
+        saved_mb = sum(p.stat().st_size for p in path.rglob("*")
+                       if p.is_file()) / 1e6
+        print(f"saved {saved_mb:.1f} MB; reopened in "
               f"{open_s * 1e3:.0f} ms (build took {build_s * 1e3:.0f} ms) "
               f"— answers bit-identical")
 

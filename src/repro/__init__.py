@@ -16,8 +16,11 @@ True
 True
 
 ``index.save(path)`` / ``repro.open(path)`` persist and reopen the
-whole engine without refitting; ``index.serve()`` returns the asyncio
-serving front end.  The paper-layer primitives stay importable for
+whole engine without refitting — a saved index is a checkpoint
+directory (``MANIFEST.json`` + ``segments/``), a *snapshot* when its
+manifest records no WAL policy and a *durable directory*
+(``build(durable_dir=...)``) when it does; ``index.serve()`` returns
+the asyncio serving front end.  The paper-layer primitives stay importable for
 fine-grained work:
 
 >>> from repro import SortedData, InterpolationModel, ShiftTable, CorrectedIndex
@@ -35,7 +38,7 @@ Subpackages: ``repro.core`` (Shift-Table, cost model, tuner),
 hierarchy), ``repro.datasets`` (SOSD generators and surrogates),
 ``repro.bench`` (the experiment harness behind every table and figure),
 ``repro.engine`` (sharded vectorised batch engine with updatable shard
-backends and whole-engine persistence), ``repro.serve`` (asyncio
+backends, checkpoint directories and the WAL), ``repro.serve`` (asyncio
 serving front end: micro-batching, write-coherent result caching,
 telemetry), ``repro.net`` (framed TCP protocol, asyncio front end,
 pipelining client), ``repro.replica`` (leader/follower replication: checkpoint

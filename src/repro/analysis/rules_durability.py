@@ -1,16 +1,17 @@
-"""RPR3xx — durability (fsync/rename) discipline under ``engine/``.
+"""RPR3xx — durability (fsync/rename) discipline under ``engine/`` and
+``core/`` (where the container's writer lives).
 
 PR 6's crash-recovery contract: a file is durable only after (1) its
 contents are fsynced, (2) it is atomically published with
 ``os.replace``, and (3) the *parent directory* is fsynced so the rename
-itself survives power loss.  ``_atomic_savez`` / ``_atomic_write_text``
-(``engine/persist.py`` / ``engine/durability.py``) implement the full
-sequence; these rules flag code that re-invents it partially:
+itself survives power loss.  ``atomic_write`` (``core/serialize.py``)
+implements the full sequence; these rules flag code that re-invents it
+partially:
 
 - ``RPR301``: ``os.replace``/``os.rename`` in a function that does not
   also fsync the file *and* the parent directory
 - ``RPR302``: write-mode ``open``/``os.fdopen``/``Path.write_*`` in the
-  engine outside the ``_atomic_*`` helpers and fsync-aware classes
+  engine outside the ``atomic_*`` helpers and fsync-aware classes
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _calls_atomic_helper(scope: ast.AST) -> bool:
     for n in ast.walk(scope):
         if isinstance(n, ast.Call):
             name = _callee_name(n)
-            if name is not None and name.startswith("_atomic"):
+            if name is not None and name.lstrip("_").startswith("atomic"):
                 return True
     return False
 
@@ -111,7 +112,7 @@ class ReplaceWithoutFsync(Rule):
     summary = ("os.replace publishes a file, but without fsync of the "
                "file and its parent directory the rename can vanish on "
                "power loss")
-    scope_dirs = ("engine",)
+    scope_dirs = ("engine", "core")
 
     def check(self, ctx: ModuleContext) -> list:
         findings = []
@@ -132,7 +133,7 @@ class ReplaceWithoutFsync(Rule):
                 findings.append(self.finding(
                     ctx, node,
                     f"os.replace in `{fn.name}` without {' or '.join(missing)}; "
-                    "use _atomic_savez/_atomic_write_text or replicate "
+                    "use atomic_write/atomic_write_text or replicate "
                     "their full fsync→replace→dir-fsync sequence"))
         return findings
 
@@ -144,15 +145,15 @@ class UnsyncedDurableWrite(Rule):
     code = "RPR302"
     name = "unsynced-durable-write"
     summary = ("write-mode open() in the engine bypasses the "
-               "_atomic_savez-style helpers; data written this way is "
+               "atomic_write helpers; data written this way is "
                "not crash-durable")
-    scope_dirs = ("engine",)
+    scope_dirs = ("engine", "core")
 
     def check(self, ctx: ModuleContext) -> list:
         findings = []
         class_fsync: dict[ast.AST, bool] = {}
         for fn, cls in _function_scopes(ctx.tree):
-            if fn.name.startswith("_atomic"):
+            if fn.name.lstrip("_").startswith("atomic"):
                 continue
             if _has_file_fsync(ctx, fn) or _calls_atomic_helper(fn):
                 continue
@@ -172,6 +173,6 @@ class UnsyncedDurableWrite(Rule):
                     ctx, node,
                     f"write-mode file access ({mode!r}) in `{fn.name}` "
                     "with no fsync on any path; route durable writes "
-                    "through _atomic_savez/_atomic_write_text or fsync "
+                    "through atomic_write/atomic_write_text or fsync "
                     "explicitly"))
         return findings

@@ -1,15 +1,15 @@
-"""RPR6xx — replication artifact-read discipline (``engine``/``replica``).
+"""RPR6xx — artifact-read discipline, everywhere in the package.
 
-Replication moves checkpoint artifacts between machines, so every byte
-a replica trusts must come through a checksum-verifying loader: segment
-archives through ``_read_verified`` (``engine/persist.py``, CRC32C over
-the manifest + every array) and manifest/state JSON through the
-sanctioned readers that validate format magic and fail loudly
-(``DurabilityManager._read_manifest``, ``read_replica_state``).  A raw
-``np.load``/``json.loads`` of those files skips the verification a
+Saved artifacts are shipped between machines and reopened by other
+processes, so every byte the library trusts must come through a
+verifying loader: ``.npz`` archives through ``read_archive``
+(``core/serialize.py``, SHA-256 over the manifest + every array) and
+manifest/state JSON through the sanctioned readers that validate format
+magic and fail loudly (``load_manifest``, ``read_replica_state``).  A
+raw ``np.load``/``json.loads`` of those files skips the verification a
 torn ship or bit-rot depends on being caught by:
 
-- ``RPR601``: ``np.load`` outside ``_read_verified`` — segment bytes
+- ``RPR601``: ``np.load`` outside ``read_archive`` — archive bytes
   trusted without checksum verification
 - ``RPR602``: ``json.load(s)`` outside a sanctioned reader — manifest
   or replica-state JSON trusted without format validation
@@ -23,13 +23,13 @@ from .framework import ModuleContext, Rule, register
 
 #: functions allowed to deserialise manifest/state JSON directly
 _SANCTIONED_JSON_READERS = (
-    "_read_manifest",
-    "_read_verified",
+    "load_manifest",
+    "read_archive",
     "read_replica_state",
 )
 
 #: functions allowed to call ``np.load`` directly
-_SANCTIONED_ARCHIVE_READERS = ("_read_verified",)
+_SANCTIONED_ARCHIVE_READERS = ("read_archive",)
 
 
 def _enclosing_functions(tree: ast.Module):
@@ -99,10 +99,9 @@ class UnverifiedArchiveRead(_ArtifactReadRule):
 
     code = "RPR601"
     name = "unverified-archive-read"
-    summary = ("np.load outside _read_verified trusts segment bytes "
-               "without checksum verification — shipped or synced "
-               "artifacts must go through the verified loaders")
-    scope_dirs = ("engine", "replica")
+    summary = ("np.load outside read_archive trusts archive bytes "
+               "without checksum verification — saved, shipped or synced "
+               "artifacts must go through the verified loader")
     sanctioned = _SANCTIONED_ARCHIVE_READERS
 
     def _match(self, ctx: ModuleContext, call: ast.Call) -> bool:
@@ -110,8 +109,8 @@ class UnverifiedArchiveRead(_ArtifactReadRule):
 
     def _message(self, fn_name: str) -> str:
         return (f"np.load in `{fn_name}` bypasses checksum verification; "
-                "read segment archives through load_shard_segment / "
-                "load_index (the _read_verified path)")
+                "read archives through load_shard_segment / load_layer / "
+                "load_model (the read_archive path)")
 
 
 @register
@@ -122,8 +121,7 @@ class UnverifiedManifestRead(_ArtifactReadRule):
     name = "unverified-manifest-read"
     summary = ("json.load(s) outside the sanctioned readers trusts "
                "manifest/replica-state JSON without format validation "
-               "(_read_manifest / read_replica_state / _read_verified)")
-    scope_dirs = ("engine", "replica")
+               "(load_manifest / read_replica_state / read_archive)")
     sanctioned = _SANCTIONED_JSON_READERS
 
     def _match(self, ctx: ModuleContext, call: ast.Call) -> bool:
@@ -131,6 +129,5 @@ class UnverifiedManifestRead(_ArtifactReadRule):
 
     def _message(self, fn_name: str) -> str:
         return (f"json deserialisation in `{fn_name}` bypasses format "
-                "validation; read manifests through "
-                "DurabilityManager._read_manifest and replica state "
-                "through read_replica_state")
+                "validation; read manifests through load_manifest and "
+                "replica state through read_replica_state")

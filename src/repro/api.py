@@ -315,43 +315,45 @@ class Index:
 
     @classmethod
     def open(cls, path: str | Path) -> "Index":
-        """Reopen an index saved with :meth:`save` — no refitting.
+        """Reopen a saved index directory — no refitting.
 
-        ``path`` may be a ``.npz`` snapshot written by :meth:`save`
-        **or** a durable directory created by
-        ``build(durable_dir=...)``: directories recover through the
-        checkpoint + WAL-replay path (:mod:`repro.engine.durability`)
-        and come back with logging live, snapshots load read-the-file
-        style with no durability attached.
+        ``path`` is a directory written by :meth:`save` (a *snapshot*)
+        or by ``build(durable_dir=...)`` (a *durable directory*): one
+        layout, one open path
+        (:func:`~repro.engine.durability.replay_directory`), told apart
+        by the manifest's WAL policy.  A durable directory records one,
+        replays its WAL tail and comes back with logging live
+        (``source == "recovered"``); a snapshot records none, stays
+        memory-only (``source == "loaded"``) and is never written to.
 
-        The loaded engine answers bit-identically to the saved one
+        The reopened engine answers bit-identically to the saved one
         (models, layers, pending update buffers, tuner decisions all
-        restored); ``build_info()["source"]`` reads ``"loaded"`` (or
-        ``"recovered"``).  Raises
+        restored).  Raises
         :class:`~repro.engine.persist.IndexPersistError` for corrupted,
-        truncated or version-incompatible files and
-        :class:`~repro.engine.durability.DurabilityError` for
-        unrecoverable directories.
+        truncated or version-incompatible segments and its subclass
+        :class:`~repro.engine.durability.DurabilityError` for the
+        directory itself — a ``path`` that is a file (the whole-engine
+        ``.npz`` older releases wrote) is refused by name, never misread.
         """
-        from .engine.durability import DurabilityManager, is_durable_dir
+        from .engine.durability import DurabilityManager, replay_directory
 
-        if Path(path).is_dir() or is_durable_dir(path):
-            manager = DurabilityManager.recover(path)
-            saved = manager.index_config
-            config = (
-                IndexConfig.from_dict(saved) if saved is not None
-                else cls._derive_config(manager.index)
-            )
-            return cls(manager.index, config, durability=manager)
-        from .engine.persist import load_index
+        state = replay_directory(path)
+        manager = None
+        if state.manifest.get("sync") is not None:
+            manager = DurabilityManager.recover(state)
+        return cls.from_state(state, durability=manager)
 
-        engine, manifest = load_index(path)
-        saved = manifest.get("index_config")
+    @classmethod
+    def from_state(cls, state, *, durability=None) -> "Index":
+        """The facade over a
+        :class:`~repro.engine.durability.RecoveredState`; on its own,
+        the read-only open CLI ``inspect`` uses."""
+        saved = state.manifest.get("index_config")
         config = (
             IndexConfig.from_dict(saved) if saved is not None
-            else cls._derive_config(engine)
+            else cls._derive_config(state.index)
         )
-        return cls(engine, config)
+        return cls(state.index, config, durability=durability)
 
     @staticmethod
     def _derive_config(engine: ShardedIndex) -> IndexConfig:
@@ -373,17 +375,19 @@ class Index:
         )
 
     def save(self, path: str | Path) -> dict:
-        """Serialise the whole engine to ``path`` (one ``.npz`` file).
+        """Publish the whole engine as a snapshot directory at ``path``.
 
-        Includes the facade config, every shard's model + correction
-        layer, backend storage with pending deltas, tuner decisions,
-        a format version and a checksum — see
-        :mod:`repro.engine.persist`.  Returns the written manifest.
+        One WAL-less checkpoint generation (``MANIFEST.json`` +
+        ``segments/``) through the routine :meth:`checkpoint` runs: the
+        facade config, every shard's model + correction layer, backend
+        storage with pending deltas, tuner decisions — see
+        :func:`~repro.engine.durability.save_snapshot`.  Returns the
+        published manifest.
         """
-        from .engine.persist import save_index
+        from .engine.durability import save_snapshot
 
-        return save_index(self.engine, path,
-                          index_config=self._config.to_dict())
+        return save_snapshot(self.engine, path,
+                             index_config=self._config.to_dict())
 
     # ------------------------------------------------------------------
     # reads
@@ -618,13 +622,13 @@ class Index:
 
 
 def open(path: str | Path) -> Index:
-    """Reopen a saved index from ``path`` — ``repro.open(index.save(...))``.
+    """Reopen a saved index directory (snapshot or durable) from ``path``.
 
     Module-level alias of :meth:`Index.open`, mirroring the stdlib's
     ``open``-a-resource idiom: load every shard's model, correction
     layer and pending update state without refitting anything.
     """
-    return Index.open(Path(path))
+    return Index.open(path)
 
 
 __all__ = ["CONFIG_VERSION", "PRESETS", "Index", "IndexConfig", "open"]

@@ -5,10 +5,12 @@ reproduction can be poked without writing Python:
 
 * ``version``      — library + on-disk format versions (also ``--version``)
 * ``build``        — build an index via the ``repro.Index`` facade,
-  optionally ``--save`` it to disk or ``--durable-dir`` it into a
-  WAL + checkpoint directory
-* ``inspect``      — reopen a saved index and report its configuration
-  (replica directories get a read-only replication report instead)
+  optionally ``--save`` it as a snapshot directory or ``--durable-dir``
+  it into a WAL + checkpoint directory (one layout: ``MANIFEST.json`` +
+  ``segments/``; a durable directory's manifest also records a WAL
+  policy and it has a ``wal/``)
+* ``inspect``      — read-only report on a saved index directory of
+  either kind, or on a replica directory; never writes to it
 * ``recover``      — crash-recover a durable directory (checkpoint +
   WAL replay) and report what came back
 * ``checkpoint``   — run one incremental checkpoint pass over a
@@ -130,7 +132,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         index.save(args.save)
         save_s = time.perf_counter() - t0
-        size_mb = Path(args.save).stat().st_size / 1e6
+        size_mb = sum(p.stat().st_size for p in Path(args.save).rglob("*")
+                      if p.is_file()) / 1e6
         print(f"saved to {args.save} ({size_mb:.1f} MB) in {save_s:.2f}s — "
               f"reopen with `python -m repro inspect {args.save}`")
     return 0
@@ -139,14 +142,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _inspect_replica(path) -> int:
     """Read-only replication report for a ``follow`` directory.
 
-    Deliberately avoids ``Index.open`` — inspecting a replica must not
-    open a WAL writer or replay anything while (or after) a follower
-    owns the directory.
+    Reads files only — inspecting a replica must not open a WAL writer
+    while (or after) a follower owns the directory.
     """
-    from pathlib import Path
-
-    from .engine.durability import MANIFEST_NAME, DurabilityManager
-    from .engine.wal import list_generations, read_wal
+    from .engine.durability import is_durable_dir, replay_directory
     from .replica import read_replica_state
 
     state = read_replica_state(path)
@@ -159,17 +158,13 @@ def _inspect_replica(path) -> int:
     lag = max(0, int(state.get("leader_lsn", 0))
               - int(state.get("applied_lsn", 0)))
     print(f"  {'lag_lsn':>18}: {lag} (as of the last state dump)")
-    root = Path(path)
-    if (root / MANIFEST_NAME).is_file():
-        manifest = DurabilityManager._read_manifest(root)
-        records, torn = read_wal(
-            root / "wal", min_generation=int(manifest["generation"]))
-        print(f"  {'manifest':>18}: generation "
-              f"{manifest['generation']}, "
-              f"{len(manifest['segments'])} segment(s)")
-        print(f"  {'local wal':>18}: {len(records)} record(s) in "
-              f"generation(s) {list_generations(root / 'wal')}"
-              f"{' (torn tail)' if torn else ''}")
+    if is_durable_dir(path):
+        local = replay_directory(path)
+        print(f"  {'manifest':>18}: generation {local.generation}, "
+              f"{len(local.manifest['segments'])} segment(s)")
+        print(f"  {'local wal':>18}: {local.replayed} record(s) past the "
+              f"segments{' (torn tail)' if local.torn else ''}, "
+              f"{len(local.index):,} key(s) in all")
         print("promote with `python -m repro recover "
               f"{path}` or repro.open()")
     else:
@@ -179,12 +174,15 @@ def _inspect_replica(path) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from .api import Index
+    from .engine.durability import replay_directory
     from .replica import is_replica_dir
 
     if is_replica_dir(args.path):
         return _inspect_replica(args.path)
+    # the read side of open() only: a durable directory — idle, or live
+    # under a server — gets no WAL writer and no new generation
     t0 = time.perf_counter()
-    index = Index.open(args.path)
+    index = Index.from_state(replay_directory(args.path))
     open_s = time.perf_counter() - t0
     print(f"opened {args.path} in {open_s:.3f}s (no refitting)")
     _print_index_report(index)
@@ -192,17 +190,23 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recover(args: argparse.Namespace) -> int:
+def _open_durable(path):
+    """``Index.open`` for the commands that need the WAL."""
     from .api import Index
 
-    t0 = time.perf_counter()
-    index = Index.open(args.path)
-    open_s = time.perf_counter() - t0
-    if index.durability is None:
-        print(f"{args.path} is a plain snapshot, not a durable directory",
-              file=sys.stderr)
+    index = Index.open(path)
+    if not index.durable:
         index.close()
-        return 1
+        raise SystemExit(
+            f"{path} is a snapshot, not a durable directory: its manifest "
+            "records no WAL policy")
+    return index
+
+
+def _cmd_recover(args: argparse.Namespace) -> int:
+    t0 = time.perf_counter()
+    index = _open_durable(args.path)
+    open_s = time.perf_counter() - t0
     d = index.durability
     print(f"recovered {args.path} in {open_s:.3f}s "
           f"(checkpoint generation {d.generation}, "
@@ -218,14 +222,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
-    from .api import Index
-
-    index = Index.open(args.path)
-    if index.durability is None:
-        print(f"{args.path} is a plain snapshot, not a durable directory",
-              file=sys.stderr)
-        index.close()
-        return 1
+    index = _open_durable(args.path)
     if args.keep_generations:
         index.durability.keep_generations = args.keep_generations
     t0 = time.perf_counter()
@@ -566,14 +563,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_replicate(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .api import Index
-
-    index = Index.open(args.path)
-    if index.durability is None:
-        print(f"{args.path} is a plain snapshot, not a durable directory",
-              file=sys.stderr)
-        index.close()
-        return 1
+    index = _open_durable(args.path)
     if args.keep_generations:
         index.durability.keep_generations = args.keep_generations
 
@@ -743,7 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "build",
         help="build an index through the repro.Index facade "
-             "(optionally --save it)",
+             "(optionally --save it as a snapshot directory)",
     )
     p.add_argument("--dataset", default="uden64",
                    help="dataset name (see `repro datasets`)")
@@ -757,10 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auto-tune", action="store_true",
                    help="run the §3.9 cost model per shard at build time")
     p.add_argument("--save", default=None, metavar="PATH",
-                   help="persist the built index to PATH (.npz)")
+                   help="publish the built index as a snapshot directory "
+                        "at PATH (MANIFEST.json + segments/, no WAL)")
     p.add_argument("--durable-dir", default=None, metavar="DIR",
-                   help="initialise a WAL + checkpoint directory at DIR "
-                        "(crash-safe writes; reopen with `recover`)")
+                   help="initialise a durable directory at DIR: the "
+                        "snapshot layout plus wal/ and a WAL policy in "
+                        "the manifest (crash-safe writes; reopen with "
+                        "`recover`)")
     p.add_argument("--durability", default=None,
                    choices=["always", "group", "async"],
                    help="WAL fsync policy for --durable-dir "
@@ -771,11 +764,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "inspect",
-        help="reopen a saved index (repro.open) and report its "
-             "config/shards",
+        help="read-only report on a saved index directory (snapshot, "
+             "durable or replica): config/shards; never writes to it",
     )
-    p.add_argument("path", help="file written by `build --save` or "
-                                "Index.save(), or a durable directory")
+    p.add_argument("path", help="directory written by `build --save` / "
+                                "Index.save() or `build --durable-dir`")
     p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser(
@@ -784,7 +777,8 @@ def build_parser() -> argparse.ArgumentParser:
              "replay) and report the result",
     )
     p.add_argument("path", help="directory written by `build "
-                                "--durable-dir`")
+                                "--durable-dir` (a snapshot has no WAL "
+                                "and is refused)")
     p.add_argument("--checkpoint", action="store_true",
                    help="write a fresh checkpoint after recovery "
                         "(prunes the replayed WAL)")
@@ -796,7 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
              "directory and prune its WAL",
     )
     p.add_argument("path", help="directory written by `build "
-                                "--durable-dir`")
+                                "--durable-dir` (a snapshot has no WAL "
+                                "and is refused)")
     p.add_argument("--keep-generations", type=int, default=0,
                    help="WAL generations to retain past the checkpoint "
                         "(a resume window for disconnected replicas)")
@@ -946,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset name to build and serve "
                         "(see `repro datasets`)")
     p.add_argument("--load", default=None, metavar="PATH",
-                   help="serve a saved index or durable directory "
-                        "instead of building --dataset")
+                   help="serve a saved index directory (snapshot or "
+                        "durable) instead of building --dataset")
     p.add_argument("--preset", default=None,
                    choices=["read_heavy", "mixed", "auto"],
                    help="IndexConfig preset (overrides --model/--layer/"

@@ -22,12 +22,11 @@ from .serialize import (
     layer_from_state,
     layer_to_state,
     load_layer,
-    load_simple_model,
+    load_model,
     model_from_state,
     model_to_state,
-    save_compact_shift_table,
-    save_shift_table,
-    save_simple_model,
+    save_layer,
+    save_model,
 )
 from .shift_table import ShiftTable, pack_layer_arrays
 from .tuner import (
@@ -68,11 +67,10 @@ __all__ = [
     "format_report",
     "LayerReport",
     "LookupTrace",
-    "save_shift_table",
-    "save_compact_shift_table",
+    "save_layer",
     "load_layer",
-    "save_simple_model",
-    "load_simple_model",
+    "save_model",
+    "load_model",
     "SERIALIZABLE_MODELS",
     "model_to_state",
     "model_from_state",

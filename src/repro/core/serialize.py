@@ -6,25 +6,33 @@ run-time while the model can still be used").  Serialising it
 independently of the model makes that deployment story concrete: build
 once, ship the ``.npz``, re-attach at run time.
 
-Two codec families live here:
+Bottom up:
 
-* the original per-file helpers (``save_shift_table`` /
-  ``save_simple_model`` / ``load_layer`` / ``load_simple_model``) —
-  one layer or two-parameter model per file;
-* the *state codecs* (:func:`model_to_state` / :func:`model_from_state`,
-  :func:`layer_to_state` / :func:`layer_from_state`) the whole-engine
-  persistence layer (:mod:`repro.engine.persist`) composes: each turns
-  an object into ``(scalars, arrays)`` — a JSON-safe scalar dict plus a
+* the **container** (:func:`write_archive` / :func:`read_archive`) —
+  the only ``np.savez`` / ``np.load`` call sites in the package.  Every
+  artifact is one ``.npz`` of a JSON manifest, numpy arrays and a
+  SHA-256 over both, published by fsync + atomic rename and read back
+  verified; checkpoint segments (:mod:`repro.engine.persist`) and the
+  per-object files below share its write, verify and error path;
+* the **state codecs** (:func:`model_to_state` / :func:`model_from_state`,
+  :func:`layer_to_state` / :func:`layer_from_state`) — each turns an
+  object into ``(scalars, arrays)`` — a JSON-safe scalar dict plus a
   dict of numpy arrays — and back, **without refitting**.  Every model
   family the factory knows (interpolation, linear, rmi, radix_spline,
-  pgm, histogram) round-trips bit-identically.
+  pgm, histogram) round-trips bit-identically;
+* :func:`save_layer` / :func:`load_layer` and :func:`save_model` /
+  :func:`load_model` — one codec state in one container.
 
 Only numpy-native state is stored; loading never executes code.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -43,110 +51,162 @@ from ..models.rmi import RMIModel, _LEAF_ENTRY_BYTES
 from .compact import CompactShiftTable
 from .shift_table import ShiftTable
 
-_FORMAT_VERSION = 1
+#: Container format version; bump on incompatible layout changes.
+FORMAT_VERSION = 1
+
+#: Manifest magic of a :func:`save_layer` / :func:`save_model` file.
+LAYER_FORMAT_NAME = "repro-layer"
+MODEL_FORMAT_NAME = "repro-model"
 
 
-def save_shift_table(layer: ShiftTable, path: str | Path) -> None:
-    """Write an R-mode layer to ``path`` (.npz)."""
-    np.savez_compressed(
-        path,
-        kind=np.asarray("shift_table"),
-        version=np.asarray(_FORMAT_VERSION),
-        deltas=layer.deltas,
-        widths=layer.widths,
-        counts=layer.counts,
-        num_keys=np.asarray(layer.num_keys),
+class IndexPersistError(ValueError):
+    """A saved artifact could not be written or read back.
+
+    Raised with a human-readable reason: not an artifact of the expected
+    kind, an unsupported format version, a checksum mismatch
+    (corruption), or state the codecs cannot encode (custom model
+    callables).
+    """
+
+
+# ----------------------------------------------------------------------
+# the container: crash-safe write, checksummed read
+# ----------------------------------------------------------------------
+def fsync_dir(path: Path) -> None:
+    """Flush a directory entry to disk (no-op where unsupported)."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir-open
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - platform without dir-fsync
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path: Path, fill) -> None:
+    """Publish ``path`` so a crash never leaves a partial file there.
+
+    ``fill(fh)`` writes to a ``mkstemp`` file in the target directory —
+    *unique per writer*, so two processes publishing the same path
+    cannot interleave bytes into one shared ``.tmp``; last
+    ``os.replace`` wins with both results intact.  The temp file is
+    flushed and ``fsync``\\ ed before the rename and the parent
+    directory is fsynced after it: without both, a power loss shortly
+    after "saving" can leave the *old* name pointing at the new
+    (unwritten) bytes — an atomic rename is only crash-durable once the
+    data below it is.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
+    tmp_path = Path(tmp_name)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fill(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
+    fsync_dir(path.parent)
 
 
-def save_compact_shift_table(layer: CompactShiftTable, path: str | Path) -> None:
-    """Write an S-mode layer to ``path`` (.npz)."""
-    np.savez_compressed(
-        path,
-        kind=np.asarray("compact_shift_table"),
-        version=np.asarray(_FORMAT_VERSION),
-        drifts=layer.drifts,
-        counts=layer.counts,
-        num_keys=np.asarray(layer.num_keys),
-        mean_abs_error=np.asarray(layer.mean_abs_error),
-    )
+def atomic_write_text(path: Path, text: str) -> None:
+    """:func:`atomic_write` of a small UTF-8 text file."""
+    atomic_write(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
-def load_layer(path: str | Path) -> ShiftTable | CompactShiftTable:
-    """Load a layer written by either save function."""
-    with np.load(path, allow_pickle=False) as archive:
-        kind = str(archive["kind"])
-        version = int(archive["version"])
-        if version > _FORMAT_VERSION:
-            raise ValueError(f"unsupported layer format version {version}")
-        if kind == "shift_table":
-            return ShiftTable(
-                deltas=archive["deltas"],
-                widths=archive["widths"],
-                counts=archive["counts"],
-                num_keys=int(archive["num_keys"]),
-            )
-        if kind == "compact_shift_table":
-            return CompactShiftTable(
-                drifts=archive["drifts"],
-                counts=archive["counts"],
-                num_keys=int(archive["num_keys"]),
-                mean_abs_error=float(archive["mean_abs_error"]),
-            )
-    raise ValueError(f"not a shift-table archive: kind={kind!r}")
+def _checksum(manifest_json: str, arrays: dict[str, np.ndarray]) -> str:
+    """SHA-256 over the manifest and every array's dtype/shape/bytes."""
+    digest = hashlib.sha256()
+    digest.update(manifest_json.encode("utf-8"))
+    for name in sorted(arrays):
+        value = np.ascontiguousarray(arrays[name])
+        digest.update(name.encode("utf-8"))
+        digest.update(str(value.dtype).encode("utf-8"))
+        digest.update(str(value.shape).encode("utf-8"))
+        digest.update(value.data)  # no tobytes() copy: hash in place
+    return digest.hexdigest()
 
 
-def save_simple_model(
-    model: InterpolationModel | LinearModel, path: str | Path
-) -> None:
-    """Write a two-parameter model as a small JSON sidecar."""
-    if isinstance(model, InterpolationModel):
-        payload = {
-            "kind": "interpolation",
-            "num_keys": model.num_keys,
-            "min": model._min,
-            "max": model._max,
-            "scale": model._scale,
-        }
-    elif isinstance(model, LinearModel):
-        payload = {
-            "kind": "linear",
-            "num_keys": model.num_keys,
-            "slope": model.slope,
-            "intercept": model.intercept,
-        }
-    else:
-        raise TypeError(f"cannot serialise model type {type(model).__name__}")
-    Path(path).write_text(json.dumps(payload))
+def write_archive(
+    path: str | Path, format_name: str, body: dict,
+    arrays: dict[str, np.ndarray],
+) -> dict:
+    """Write one checksummed ``.npz`` artifact; returns its manifest
+    (``body`` plus format magic and version).  Uncompressed: load speed
+    is the point of persistence and key arrays compress poorly anyway.
+    """
+    manifest = {
+        "format": format_name, "format_version": FORMAT_VERSION, **body,
+    }
+    manifest_json = json.dumps(manifest, sort_keys=True)
+    payload = {
+        "manifest": np.asarray(manifest_json),
+        "checksum": np.asarray(_checksum(manifest_json, arrays)),
+    }
+    payload.update(arrays)
+    atomic_write(Path(path), lambda fh: np.savez(fh, **payload))
+    return manifest
 
 
-def load_simple_model(path: str | Path) -> InterpolationModel | LinearModel:
-    """Load a model written by :func:`save_simple_model`."""
-    payload = json.loads(Path(path).read_text())
-    kind = payload["kind"]
-    if kind == "interpolation":
-        model = InterpolationModel.__new__(InterpolationModel)
-        model.num_keys = int(payload["num_keys"])
-        model._min = float(payload["min"])
-        model._scale = float(payload["scale"])
-        if "max" in payload:
-            model._max = float(payload["max"])
-        else:
-            # legacy payloads (format without "max"): reconstruct the
-            # builder's value up to float rounding — `num_keys / scale`
-            # need not invert `num_keys / span` bit-exactly
-            model._max = model._min + (
-                model.num_keys / model._scale if model._scale else 0.0
-            )
-        return model
-    if kind == "linear":
-        model = LinearModel.__new__(LinearModel)
-        model.num_keys = int(payload["num_keys"])
-        model.slope = float(payload["slope"])
-        model.intercept = float(payload["intercept"])
-        model.is_monotone = model.slope >= 0.0
-        return model
-    raise ValueError(f"unknown model kind {kind!r}")
+def read_archive(
+    path: str | Path, format_name: str
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(manifest, arrays)`` of an artifact :func:`write_archive` wrote.
+
+    Raises :class:`IndexPersistError` for anything that is not a healthy
+    artifact of kind ``format_name``: missing, truncated, corrupted,
+    newer-versioned or foreign files.  Never unpickles.
+    """
+    # the ``with`` wraps the np.load call itself: the archive's zip
+    # handle — and the file descriptor under it — is closed on every
+    # exit path, including the error raises below, instead of leaking
+    # until the garbage collector gets around to it
+    path = Path(path)
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            manifest_json = str(archive["manifest"])
+            manifest = json.loads(manifest_json)
+            found = (manifest.get("format")
+                     if isinstance(manifest, dict) else None)
+            if found != format_name:
+                raise IndexPersistError(
+                    f"{path} is not a saved {format_name} artifact "
+                    f"(format={found!r})"
+                )
+            version = int(manifest.get("format_version", -1))
+            if version > FORMAT_VERSION or version < 1:
+                raise IndexPersistError(
+                    f"{path} uses container format version {version}; "
+                    f"this library reads versions 1..{FORMAT_VERSION} — "
+                    "upgrade the library or re-save the artifact"
+                )
+            arrays = {
+                name: archive[name]
+                for name in archive.files
+                if name not in ("manifest", "checksum")
+            }
+            expected = str(archive["checksum"])
+    except (OSError, ValueError, TypeError, KeyError,
+            zipfile.BadZipFile) as exc:
+        if isinstance(exc, IndexPersistError):
+            raise
+        raise IndexPersistError(
+            f"{path} is not a readable {format_name} artifact: {exc}"
+        ) from exc
+    actual = _checksum(manifest_json, arrays)
+    if actual != expected:
+        raise IndexPersistError(
+            f"{path} failed its checksum (expected {expected[:12]}…, "
+            f"got {actual[:12]}…) — the file is corrupted or was "
+            "modified after saving"
+        )
+    return manifest, arrays
 
 
 # ----------------------------------------------------------------------
@@ -372,3 +432,30 @@ def layer_from_state(scalars: dict, arrays: dict):
             mean_abs_error=float(scalars["mean_abs_error"]),
         )
     raise ValueError(f"unknown layer kind {kind!r}")
+
+
+# ----------------------------------------------------------------------
+# per-object files: one codec state in one container
+# ----------------------------------------------------------------------
+def save_layer(layer, path: str | Path) -> None:
+    """Write a correction layer (R- or S-mode) to ``path`` (.npz)."""
+    scalars, arrays = layer_to_state(layer)
+    write_archive(path, LAYER_FORMAT_NAME, {"state": scalars}, arrays)
+
+
+def load_layer(path: str | Path):
+    """Load a layer written by :func:`save_layer` (checksum-verified)."""
+    manifest, arrays = read_archive(path, LAYER_FORMAT_NAME)
+    return layer_from_state(manifest["state"], arrays)
+
+
+def save_model(model, path: str | Path) -> None:
+    """Write a fitted model of any :data:`SERIALIZABLE_MODELS` family."""
+    scalars, arrays = model_to_state(model)
+    write_archive(path, MODEL_FORMAT_NAME, {"state": scalars}, arrays)
+
+
+def load_model(path: str | Path):
+    """Load a model written by :func:`save_model` (no refitting)."""
+    manifest, arrays = read_archive(path, MODEL_FORMAT_NAME)
+    return model_from_state(manifest["state"], arrays)

@@ -40,10 +40,7 @@ from .executor import MODES, BatchExecutor
 from .persist import (
     FORMAT_VERSION,
     IndexPersistError,
-    load_index,
     load_shard_segment,
-    read_manifest,
-    save_index,
     save_shard_segment,
 )
 from .wal import WAL_SYNC_MODES, WalError, WalRecord, WalWriter, read_wal
@@ -78,11 +75,8 @@ __all__ = [
     "IndexPersistError",
     "decision_from_config",
     "is_durable_dir",
-    "load_index",
     "load_shard_segment",
-    "read_manifest",
     "read_wal",
-    "save_index",
     "save_shard_segment",
     "snap_offsets",
 ]

@@ -1,19 +1,23 @@
-"""Durable writes: WAL + incremental checkpoints + crash recovery.
+"""The saved-index directory: checkpoints + WAL + crash recovery.
 
-:class:`DurabilityManager` turns a live :class:`~repro.engine.sharded.ShardedIndex`
-into a crash-safe one, following the production pattern of learned
-indexes over immutable on-disk runs plus delta buffers ("Learned
-Indexes for a Google-scale Disk-based Database"): models are expensive
-to fit and cheap to use, so recovery *replays data into buffers* and
-never refits models.
-
-Three cooperating pieces, one directory::
+A saved index is a checkpoint directory, following the production
+pattern of learned indexes over immutable on-disk runs plus delta
+buffers ("Learned Indexes for a Google-scale Disk-based Database"):
+models are expensive to fit and cheap to use, so reopening *replays
+data into buffers* and never refits models.  One layout::
 
     index.db/
       MANIFEST.json                  # generation-counted root pointer
       segments/g<gen>-s<shard>.npz   # one checkpointed shard each
       wal/g<gen>.wal                 # CRC-framed mutation log, one file
-                                     # per generation
+                                     # per generation (durable only)
+
+What the manifest's WAL policy (``"sync"``) records tells the two
+lifecycles apart: a **snapshot** (:func:`save_snapshot`) records none
+and has no ``wal/`` — one published generation, opened memory-only and
+never written to by a reader; a **durable directory**
+(:class:`DurabilityManager`) records one, logs every write and
+checkpoints in place.  Both publish and reopen through the same code.
 
 * **WAL** (:mod:`repro.engine.wal`) — every applied ``insert``/``delete``
   is appended (via the engine's :class:`~repro.engine.sharded.WriteEvent`
@@ -22,22 +26,22 @@ Three cooperating pieces, one directory::
   LSN is ``durable_lsn`` or below, and whatever a crash leaves of the
   log is a prefix of it: **recovery yields a prefix of the applied
   history**, never a state the index was not in.
-* **Incremental checkpoints** — :meth:`DurabilityManager.checkpoint`
+* **Incremental checkpoints** — a pass (checkpoint or snapshot alike)
   flushes **one shard at a time**: the engine write lock is held only
   while a shard is snapshotted into owned array copies
   (:func:`~repro.engine.persist.encode_shard_state`); serialising and
   fsyncing the segment file happens with no lock held.  Writers are
-  never blocked for longer than one shard's snapshot — the whole point,
-  versus :func:`~repro.engine.persist.save_index` holding the lock
-  across the full archive.  Structural maintenance (splits/merges) is
+  never blocked for longer than one shard's snapshot, and without a WAL
+  to order them a snapshot holds the racing writes that reached each
+  shard before its turn.  Structural maintenance (splits/merges) is
   deferred for the duration (:meth:`ShardedIndex.defer_maintenance`) so
   shard ids in segment files and WAL records agree; it catches up the
   moment the pass ends.  Each segment records the WAL position
   (``flushed_lsn``) its state already contains.
-* **Crash recovery** — :meth:`DurabilityManager.recover` loads the last
-  *published* manifest (manifests are fsynced and atomically replaced,
-  so a crash mid-pass leaves the previous generation intact), decodes
-  every segment without refitting, and replays the WAL tail: a record
+* **Reopening** — :func:`replay_directory` loads the last *published*
+  manifest (manifests are fsynced and atomically replaced, so a crash
+  mid-pass leaves the previous generation intact), decodes every
+  segment without refitting, and replays the WAL tail: a record
   is applied unless its LSN is at or below the flushed LSN of the shard
   it was originally applied to.  Replayed writes flow through the
   ordinary ``insert``/``delete`` paths, which the ``gapped``/``fenwick``
@@ -60,14 +64,15 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..core.serialize import atomic_write_text, fsync_dir
 from .persist import (
+    IndexPersistError,
     _config_from_dict,
     _config_to_dict,
     encode_shard_state,
@@ -79,15 +84,14 @@ from .wal import (
     OP_DELETE,
     OP_INSERT,
     WalWriter,
-    _fsync_dir,
     list_generations,
     read_wal,
 )
 
-#: Manifest magic marking a directory as a durable index.
+#: Manifest magic of a saved-index directory (snapshot or durable).
 DURABLE_FORMAT_NAME = "repro-durable-index"
 
-#: Durable-directory layout version; bump on incompatible changes.
+#: Directory layout version; bump on incompatible changes.
 #: Version 2: the WAL is one file per generation (was per-shard lanes).
 DURABLE_FORMAT_VERSION = 2
 
@@ -97,51 +101,104 @@ MANIFEST_NAME = "MANIFEST.json"
 _SEGMENT_RE = re.compile(r"^g(\d{10})-s(\d{4})\.npz$")
 
 
-class DurabilityError(ValueError):
-    """A durable index directory could not be written or recovered.
+class DurabilityError(IndexPersistError):
+    """A saved-index directory could not be written or reopened.
 
-    Raised with a human-readable reason: not a durable index directory,
-    an unsupported layout version, an unrecoverable (empty) state, or a
-    checkpoint attempted on an empty index.
+    Raised with a human-readable reason: not an index directory (an old
+    whole-engine ``.npz`` archive included), an unsupported layout
+    version, a manifest and segment that disagree, an unrecoverable
+    (empty) state, or a checkpoint attempted on an empty index.
     """
 
 
 def is_durable_dir(path: str | Path) -> bool:
-    """Whether ``path`` looks like a durable index directory."""
+    """Whether ``path`` holds a published manifest (snapshot or durable)."""
     return (Path(path) / MANIFEST_NAME).is_file()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Durably publish a small text file (fsync + rename + dir fsync)."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    tmp_path = Path(tmp_name)
+def _segment_name(generation: int, shard: int) -> str:
+    return f"segments/g{generation:010d}-s{shard:04d}.npz"
+
+
+def _refuse_file(root: Path) -> None:
+    if root.is_file():
+        raise DurabilityError(
+            f"{root} is a file, not a saved-index directory — the "
+            "whole-engine .npz archives older releases wrote are no longer "
+            "read: rebuild the index from its keys and save() it again"
+        )
+
+
+def check_manifest(manifest: object, where: str | Path) -> dict:
+    """Validate a manifest read from disk or received from a leader,
+    before any path is derived from it: slot ``s`` of generation ``g``
+    must be named exactly ``segments/g<g>-s<s>.npz``, so an absolute or
+    ``../`` name is never joined to a root (``Path("/d") / "/x"`` is ``/x``).
+    """
+    if not isinstance(manifest, dict) \
+            or manifest.get("format") != DURABLE_FORMAT_NAME:
+        raise DurabilityError(f"{where} is not a saved-index manifest")
+    version = manifest.get("format_version")
+    if version != DURABLE_FORMAT_VERSION:
+        raise DurabilityError(
+            f"{where} uses durable layout version {version}; this "
+            f"library reads version {DURABLE_FORMAT_VERSION} only"
+        )
+    generation, segments = manifest.get("generation"), manifest.get("segments")
+    if not isinstance(generation, int) or not isinstance(segments, list):
+        raise DurabilityError(f"{where} lists no generation/segments")
+    for slot, name in enumerate(segments):
+        if name != _segment_name(generation, slot):
+            raise DurabilityError(
+                f"{where} names {name!r} where only "
+                f"{_segment_name(generation, slot)!r} is accepted "
+                "(segment paths never leave the directory)"
+            )
+    return manifest
+
+
+def load_manifest(root: str | Path) -> dict:
+    """Read and validate the published ``MANIFEST.json`` under ``root``."""
+    root = Path(root)
+    _refuse_file(root)
+    manifest_path = root / MANIFEST_NAME
+    if not manifest_path.is_file():
+        raise DurabilityError(
+            f"{root} is not a durable index directory or snapshot "
+            f"(no {MANIFEST_NAME})"
+        )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
-    _fsync_dir(path.parent)
+        manifest = json.loads(manifest_path.read_text("utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DurabilityError(
+            f"{manifest_path} is unreadable: {exc}"
+        ) from exc
+    return check_manifest(manifest, manifest_path)
+
+
+def load_segment(root: Path, manifest: dict, slot: int):
+    """``(shard, flushed_lsn, length)`` of slot ``slot`` of a checked
+    manifest.  A segment of another shard or generation copied over the
+    right name passes its checksum, so its own claim is checked too.
+    """
+    path = root / manifest["segments"][slot]
+    seg, shard = load_shard_segment(path)
+    held = seg.get("shard_id"), seg.get("generation")
+    if held != (slot, manifest["generation"]):
+        raise DurabilityError(
+            f"{path} holds shard {held[0]} of generation {held[1]}, not "
+            f"shard {slot} of generation {manifest['generation']}"
+        )
+    return shard, int(seg["flushed_lsn"]), int(seg["length"])
 
 
 @dataclass
 class RecoveredState:
-    """Everything :func:`replay_directory` rebuilt from a durable dir.
+    """Everything :func:`replay_directory` rebuilt from a directory."""
 
-    ``index`` is ``None`` when the checkpoint was empty and no insert
-    survived in the WAL tail (the caller decides whether that is an
-    error — :meth:`DurabilityManager.recover` refuses it, a replication
-    follower falls back to a fresh sync).
-    """
-
+    root: Path
     manifest: dict
-    index: "ShardedIndex | None"
-    key_dtype: np.dtype
+    index: ShardedIndex
     flushed_lsns: list[int]
     max_lsn: int
     replayed: int
@@ -155,27 +212,27 @@ class RecoveredState:
 
 
 def replay_directory(root: str | Path) -> RecoveredState:
-    """Rebuild the live engine state a durable directory describes.
+    """Rebuild the live engine state a saved-index directory describes.
 
-    The shared read side of crash recovery:
-    :meth:`DurabilityManager.recover` and the replication follower
-    (:mod:`repro.replica`) both boot through it.  Loads the published
-    manifest's segments (checksum-verified, no refitting) and replays
-    the WAL tail in LSN order through the ordinary write paths,
+    The one read path: :func:`repro.open`, :meth:`DurabilityManager.recover`,
+    CLI ``inspect`` and the replication follower (:mod:`repro.replica`)
+    all boot through it.  Loads the published manifest's segments
+    (checksum-verified, no refitting) and replays the WAL tail — empty
+    for a snapshot — in LSN order through the ordinary write paths,
     applying the per-shard flushed-LSN filter documented in the module
     docstring.  Pure read: opens no WAL writer, attaches no listeners,
     mutates nothing on disk.
     """
     root = Path(root)
-    manifest = DurabilityManager._read_manifest(root)
+    manifest = load_manifest(root)
     key_dtype = np.dtype(manifest["key_dtype"])
 
     shards, flushed_lsns, lengths = [], [], []
-    for name in manifest["segments"]:
-        seg_manifest, shard = load_shard_segment(root / name)
+    for slot in range(len(manifest["segments"])):
+        shard, flushed, length = load_segment(root, manifest, slot)
         shards.append(shard)
-        flushed_lsns.append(int(seg_manifest["flushed_lsn"]))
-        lengths.append(int(seg_manifest["length"]))
+        flushed_lsns.append(flushed)
+        lengths.append(length)
 
     records, torn = read_wal(
         root / "wal", min_generation=int(manifest["generation"])
@@ -216,13 +273,145 @@ def replay_directory(root: str | Path) -> RecoveredState:
             raise DurabilityError(
                 f"unknown WAL opcode {record.op} at LSN {record.lsn}"
             )
-
+    if index is None:
+        raise DurabilityError(
+            f"{root} replayed to an empty index (all keys deleted and "
+            "no inserts to replay) — nothing to reopen"
+        )
+    index.source = "loaded" if manifest.get("sync") is None else "recovered"
     max_lsn = max([r.lsn for r in records] + flushed_lsns + [0])
     return RecoveredState(
-        manifest=manifest, index=index, key_dtype=key_dtype,
+        root=root, manifest=manifest, index=index,
         flushed_lsns=flushed_lsns, max_lsn=max_lsn,
         replayed=replayed, skipped=skipped, torn=torn,
     )
+
+
+def _publish_generation(
+    index: ShardedIndex, root: Path, generation: int, *,
+    wal: WalWriter | None = None, sync: str | None = None,
+    index_config: dict | None = None, resume: bool = True,
+) -> dict:
+    """Flush every shard to ``segments/``, then publish ``MANIFEST.json``.
+
+    The one write path: :meth:`DurabilityManager.checkpoint` passes its
+    ``wal`` and ``sync`` policy, :func:`save_snapshot` neither (flushed
+    LSNs are 0 and the manifest records no policy).
+    """
+    if len(index) == 0:
+        raise DurabilityError("cannot checkpoint an empty index (no keys)")
+    (root / "segments").mkdir(exist_ok=True)
+    with index._write_lock:
+        index.defer_maintenance()
+        if wal is not None:
+            # records before this rotation land in generations the new
+            # manifest supersedes; after it, in the one it keeps
+            wal.rotate(generation)
+        num_shards = index.num_shards
+    published = False
+    try:
+        segments: list[str] = []
+        flushed_lsns: list[int] = []
+        for s in range(num_shards):
+            with index._write_lock:
+                shard = index.shards[s]
+                entry, arrays = encode_shard_state(shard)
+                length = 0 if shard is None else len(shard)
+                flushed = 0 if wal is None else wal.last_lsn
+            # lock released: serialise + fsync without blocking
+            name = _segment_name(generation, s)
+            save_shard_segment(
+                root / name, entry, arrays,
+                shard_id=s, generation=generation,
+                flushed_lsn=flushed, length=length,
+            )
+            segments.append(name)
+            flushed_lsns.append(flushed)
+        with index._write_lock:
+            tuner = index.tuner
+            manifest = {
+                "format": DURABLE_FORMAT_NAME,
+                "format_version": DURABLE_FORMAT_VERSION,
+                "generation": generation,
+                "key_dtype": index.key_dtype.str,
+                "sync": sync,
+                "name": index.name,
+                "backend": index.backend_kind,
+                "config": _config_to_dict(index.config),
+                "auto_tune": (
+                    tuner.config.to_dict()
+                    if tuner is not None else None
+                ),
+                "target_shard_keys": index._target_shard_keys,
+                "num_splits": index.num_splits,
+                "num_merges": index.num_merges,
+                "index_config": index_config,
+                "segments": segments,
+                "flushed_lsns": flushed_lsns,
+                "next_lsn": 1 if wal is None else wal.next_lsn,
+            }
+        atomic_write_text(
+            root / MANIFEST_NAME,
+            json.dumps(manifest, sort_keys=True, indent=1),
+        )
+        published = True
+    finally:
+        if resume or not published:
+            index.resume_maintenance()
+    return manifest
+
+
+def _drop_stale_segments(root: Path, generation: int) -> None:
+    seg_dir = root / "segments"
+    removed = False
+    for path in seg_dir.iterdir():
+        match = _SEGMENT_RE.match(path.name)
+        if match and int(match.group(1)) < generation:
+            path.unlink(missing_ok=True)
+            removed = True
+    if removed:
+        fsync_dir(seg_dir)
+
+
+def save_snapshot(
+    index: ShardedIndex, root: str | Path, *,
+    index_config: dict | None = None,
+) -> dict:
+    """Publish ``index`` as one WAL-less checkpoint generation at ``root``.
+
+    Saving onto an existing snapshot publishes generation ``g+1`` and
+    then drops ``g``'s segments, so a failure at any point leaves the
+    old generation opening bit-identically.  Publishers of one path
+    take turns on an advisory lock on the directory: two racing saves
+    leave one of the two indexes, whole.  A file (an old whole-engine
+    ``.npz``) or a durable directory at ``root`` is refused by name.
+    Returns the published manifest.
+    """
+    import fcntl  # POSIX-only, like the advisory lock it provides
+
+    root = Path(root)
+    _refuse_file(root)
+    _config_to_dict(index.config)  # refuse a custom model before mkdir
+    root.mkdir(parents=True, exist_ok=True)
+    fd = os.open(root, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        generation = 1
+        if is_durable_dir(root):
+            previous = load_manifest(root)
+            if previous.get("sync") is not None:
+                raise DurabilityError(
+                    f"{root} is a durable directory (WAL policy "
+                    f"{previous['sync']!r}): checkpoint() it instead"
+                )
+            generation = previous["generation"] + 1
+        manifest = _publish_generation(
+            index, root, generation, index_config=index_config
+        )
+        _drop_stale_segments(root, generation)
+    finally:
+        os.close(fd)  # closing the descriptor releases the lock
+    return manifest
 
 
 class DurabilityManager:
@@ -304,15 +493,15 @@ class DurabilityManager:
 
         Writes the initial checkpoint (generation 1) so recovery always
         has a base to replay onto, then starts logging.  Refuses a
-        directory that already holds a durable index — reopening one is
+        directory that already holds a saved index — reopening one is
         :meth:`recover`'s job, and silently re-initialising would orphan
         its WAL.
         """
         root = Path(root)
         if is_durable_dir(root):
             raise DurabilityError(
-                f"{root} already contains a durable index — use "
-                "DurabilityManager.recover() to reopen it"
+                f"{root} already contains a saved index — use "
+                "DurabilityManager.recover() to reopen a durable one"
             )
         root.mkdir(parents=True, exist_ok=True)
         wal = WalWriter(
@@ -334,7 +523,7 @@ class DurabilityManager:
     @classmethod
     def recover(
         cls,
-        root: str | Path,
+        root: "str | Path | RecoveredState",
         *,
         sync: str | None = None,
         group_ops: int = 256,
@@ -342,30 +531,27 @@ class DurabilityManager:
     ) -> "DurabilityManager":
         """Reopen a durable directory: last good checkpoint + WAL replay.
 
-        Loads the published manifest's segments (no refitting), replays
-        every WAL record past its shard's flushed LSN in LSN order
-        through the ordinary write paths (buffered backends absorb them
-        as pending deltas), and resumes logging on a fresh WAL
-        generation with continuing LSNs.  ``sync=None`` keeps the policy
-        recorded in the manifest.  Raises :class:`DurabilityError` for
-        directories that are not (or no longer) recoverable.
+        Rebuilds the engine through :func:`replay_directory` (or takes
+        the :class:`RecoveredState` of a replay already done) and
+        resumes logging on a fresh WAL generation with continuing LSNs.
+        ``sync=None`` keeps the policy recorded in the manifest; a
+        snapshot records none and is refused.  Raises
+        :class:`DurabilityError` for directories that are not (or no
+        longer) recoverable.
         """
-        root = Path(root)
-        state = replay_directory(root)
-        manifest = state.manifest
-        if sync is None:
-            sync = manifest.get("sync", "group")
-        if state.index is None:
+        state = root if isinstance(root, RecoveredState) \
+            else replay_directory(root)
+        root, manifest = state.root, state.manifest
+        if manifest.get("sync") is None:
             raise DurabilityError(
-                f"{root} recovered to an empty index (all keys deleted "
-                "and no inserts to replay) — nothing to reopen"
+                f"{root} is a snapshot, not a durable directory: its "
+                "manifest records no WAL policy"
             )
-        state.index.source = "recovered"
-
+        sync = sync or manifest["sync"]
         wal_gens = list_generations(root / "wal")
         next_generation = max(wal_gens + [state.generation]) + 1
         wal = WalWriter(
-            root / "wal", state.key_dtype,
+            root / "wal", state.index.key_dtype,
             generation=next_generation, start_lsn=state.max_lsn + 1,
             sync=sync, group_ops=group_ops,
         )
@@ -461,72 +647,14 @@ class DurabilityManager:
         with self._checkpoint_lock:
             if self._closed:
                 raise DurabilityError("the durability manager is closed")
-            index = self.index
-            if len(index) == 0:
-                raise DurabilityError(
-                    "cannot checkpoint an empty index (no keys)"
-                )
             generation = max(self.generation, self.wal.generation) + 1
-            seg_dir = self.root / "segments"
-            seg_dir.mkdir(exist_ok=True)
-            with index._write_lock:
-                index.defer_maintenance()
-                # records before this rotation land in generations the
-                # new manifest supersedes; after it, in the one it keeps
-                self.wal.rotate(generation)
-                num_shards = index.num_shards
-            published = False
-            try:
-                segments: list[str] = []
-                flushed_lsns: list[int] = []
-                for s in range(num_shards):
-                    with index._write_lock:
-                        shard = index.shards[s]
-                        entry, arrays = encode_shard_state(shard)
-                        length = 0 if shard is None else len(shard)
-                        flushed = self.wal.last_lsn
-                    # lock released: serialise + fsync without blocking
-                    name = f"segments/g{generation:010d}-s{s:04d}.npz"
-                    save_shard_segment(
-                        self.root / name, entry, arrays,
-                        shard_id=s, generation=generation,
-                        flushed_lsn=flushed, length=length,
-                    )
-                    segments.append(name)
-                    flushed_lsns.append(flushed)
-                with index._write_lock:
-                    tuner = index.tuner
-                    manifest = {
-                        "format": DURABLE_FORMAT_NAME,
-                        "format_version": DURABLE_FORMAT_VERSION,
-                        "generation": generation,
-                        "key_dtype": index.key_dtype.str,
-                        "sync": self.sync,
-                        "name": index.name,
-                        "backend": index.backend_kind,
-                        "config": _config_to_dict(index.config),
-                        "auto_tune": (
-                            tuner.config.to_dict()
-                            if tuner is not None else None
-                        ),
-                        "target_shard_keys": index._target_shard_keys,
-                        "num_splits": index.num_splits,
-                        "num_merges": index.num_merges,
-                        "index_config": self.index_config,
-                        "segments": segments,
-                        "flushed_lsns": flushed_lsns,
-                        "next_lsn": self.wal.next_lsn,
-                    }
-                _atomic_write_text(
-                    self.root / MANIFEST_NAME,
-                    json.dumps(manifest, sort_keys=True, indent=1),
-                )
-                self.generation = generation
-                self.manifest = manifest
-                published = True
-            finally:
-                if resume or not published:
-                    index.resume_maintenance()
+            manifest = _publish_generation(
+                self.index, self.root, generation,
+                wal=self.wal, sync=self.sync,
+                index_config=self.index_config, resume=resume,
+            )
+            self.generation = generation
+            self.manifest = manifest
             # the new manifest is live: prune what no consumer can still
             # need — the retention floor keeps `keep_generations` extra
             # WAL generations for briefly-disconnected followers, and
@@ -537,7 +665,7 @@ class DurabilityManager:
             wal_floor = min([generation - self.keep_generations] + pins)
             seg_floor = min([generation] + pins)
             self.wal.drop_generations_below(max(wal_floor, 0))
-            self._drop_stale_segments(max(seg_floor, 0))
+            _drop_stale_segments(self.root, max(seg_floor, 0))
             return manifest
 
     def pin_current(self) -> tuple[int, dict]:
@@ -564,17 +692,6 @@ class DurabilityManager:
         """Release a :meth:`pin_current` pin (idempotent)."""
         with self._pin_lock:
             self._pins.pop(token, None)
-
-    def _drop_stale_segments(self, generation: int) -> None:
-        seg_dir = self.root / "segments"
-        removed = False
-        for path in seg_dir.iterdir():
-            match = _SEGMENT_RE.match(path.name)
-            if match and int(match.group(1)) < generation:
-                path.unlink(missing_ok=True)
-                removed = True
-        if removed:
-            _fsync_dir(seg_dir)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -616,33 +733,6 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     # recovery internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _read_manifest(root: Path) -> dict:
-        manifest_path = root / MANIFEST_NAME
-        if not manifest_path.is_file():
-            raise DurabilityError(
-                f"{root} is not a durable index directory "
-                f"(no {MANIFEST_NAME})"
-            )
-        try:
-            manifest = json.loads(manifest_path.read_text("utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DurabilityError(
-                f"{manifest_path} is unreadable: {exc}"
-            ) from exc
-        if manifest.get("format") != DURABLE_FORMAT_NAME:
-            raise DurabilityError(
-                f"{manifest_path} is not a durable index manifest "
-                f"(format={manifest.get('format')!r})"
-            )
-        version = int(manifest.get("format_version", -1))
-        if version != DURABLE_FORMAT_VERSION:
-            raise DurabilityError(
-                f"{root} uses durable layout version {version}; this "
-                f"library reads version {DURABLE_FORMAT_VERSION} only"
-            )
-        return manifest
-
     @staticmethod
     def _engine_kwargs(manifest: dict) -> dict:
         auto_tune: object = False
@@ -707,6 +797,10 @@ __all__ = [
     "DurabilityError",
     "DurabilityManager",
     "RecoveredState",
+    "check_manifest",
     "is_durable_dir",
+    "load_manifest",
+    "load_segment",
     "replay_directory",
+    "save_snapshot",
 ]

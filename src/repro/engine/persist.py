@@ -1,42 +1,31 @@
-"""Whole-engine persistence: save a built :class:`ShardedIndex`, reopen
-it in another process without refitting anything.
+"""Shard persistence: one checkpoint segment per shard, no refitting.
 
-The missing production primitive behind the ``repro.Index`` facade:
-learned indexes are expensive to *build* (model fits + one correction
+Learned indexes are expensive to *build* (model fits + one correction
 layer pass per shard) and cheap to *use*, so a deployment wants to build
 once, ship the artifact, and ``repro.open()`` it at serving time — the
 same story Google's Bigtable-backed learned index and the RMI tell, made
 concrete for this engine.
 
-One ``.npz`` file holds the entire engine:
+A segment is one shard in the package's one checksummed container
+(:func:`repro.core.serialize.write_archive`):
 
-* a JSON **manifest** — format version, key dtype, shard offsets
-  metadata, the engine-level :class:`~repro.engine.backends.BackendConfig`,
-  the standing auto-tune configuration, per-shard entries (backend kind,
-  lineage, tuner decision label, workload counters, model/layer scalar
-  state), and an optional facade-level ``IndexConfig`` dict;
-* numpy **arrays** — global shard offsets plus per-shard key storage
-  (``static``: the key slice; ``gapped``: gapped slots + occupancy
-  bitmap; ``fenwick``: base keys + pending insert/tombstone buffers +
-  the Fenwick drift tree) and model/layer parameter arrays via the
-  :mod:`repro.core.serialize` state codecs;
-* a **checksum** — SHA-256 over the manifest and every array's bytes,
-  verified on load so a corrupted or truncated file is rejected with a
-  clear error instead of answering queries wrongly.
+* a JSON **entry** — backend kind, lineage, tuner decision label,
+  workload counters, the shard's
+  :class:`~repro.engine.backends.BackendConfig`, model/layer scalar
+  state;
+* numpy **arrays** — key storage (``static``: the key slice;
+  ``gapped``: gapped slots + occupancy bitmap; ``fenwick``: base keys +
+  pending insert/tombstone buffers + the Fenwick drift tree) and
+  model/layer parameter arrays via the :mod:`repro.core.serialize`
+  state codecs.
 
-The archive is written with ``np.savez`` (uncompressed): load speed is
-the whole point of persistence — reopening must beat rebuilding by an
-order of magnitude — and key arrays compress poorly anyway.  Loading
-never executes code (``allow_pickle=False``).
+The directory that strings segments into a saved index —
+``MANIFEST.json`` + ``segments/`` (+ ``wal/``) — is
+:mod:`repro.engine.durability`'s.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +35,14 @@ from ..core.fenwick import FenwickTree, UpdatableCorrectedIndex
 from ..core.gapped import GappedLearnedIndex
 from ..core.records import SortedData
 from ..core.serialize import (
+    FORMAT_VERSION,
+    IndexPersistError,
     layer_from_state,
     layer_to_state,
     model_from_state,
     model_to_state,
+    read_archive,
+    write_archive,
 )
 from ..hardware.machine import DEFAULT_PAYLOAD_BYTES
 from .backends import (
@@ -60,27 +53,9 @@ from .backends import (
     ShardStats,
     StaticBackend,
 )
-from .sharded import ShardedIndex
-from .wal import _fsync_dir
 
-#: On-disk engine format version; bump on incompatible layout changes.
-FORMAT_VERSION = 1
-
-#: Manifest magic marking a file as a whole-engine archive.
-FORMAT_NAME = "repro-sharded-index"
-
-#: Manifest magic marking a file as a single-shard checkpoint segment
-#: (the incremental-checkpoint unit — see :mod:`repro.engine.durability`).
+#: Manifest magic marking a file as a single-shard checkpoint segment.
 SEGMENT_FORMAT_NAME = "repro-shard-segment"
-
-
-class IndexPersistError(ValueError):
-    """A saved index could not be written or read back.
-
-    Raised with a human-readable reason: not an index archive, an
-    unsupported format version, a checksum mismatch (corruption), or
-    state the codec cannot encode (custom model callables).
-    """
 
 
 def _config_to_dict(config: BackendConfig) -> dict:
@@ -252,251 +227,6 @@ def _decode_shard(entry: dict, arrays: dict) -> ShardBackend:
 
 
 # ----------------------------------------------------------------------
-# durable file plumbing
-# ----------------------------------------------------------------------
-def _atomic_savez(path: Path, payload: dict) -> None:
-    """Write an ``.npz`` so a crash never publishes a partial file.
-
-    The archive goes to a ``mkstemp`` temp file in the target directory
-    — *unique per writer*, so two processes saving to the same path
-    cannot interleave bytes into one shared ``.tmp`` and publish a
-    corrupt archive; last ``os.replace`` wins with both results intact.
-    The temp file is flushed and ``fsync``\\ ed before the rename and the
-    parent directory is fsynced after it: without both, a power loss
-    shortly after "saving" can leave the *old* name pointing at the new
-    (unwritten) bytes — an atomic rename is only crash-durable once the
-    data below it is.
-    """
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    tmp_path = Path(tmp_name)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        tmp_path.unlink(missing_ok=True)
-        raise
-    _fsync_dir(path.parent)
-
-
-# ----------------------------------------------------------------------
-# checksum
-# ----------------------------------------------------------------------
-def _checksum(manifest_json: str, arrays: dict[str, np.ndarray]) -> str:
-    """SHA-256 over the manifest and every array's dtype/shape/bytes."""
-    digest = hashlib.sha256()
-    digest.update(manifest_json.encode("utf-8"))
-    for name in sorted(arrays):
-        value = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode("utf-8"))
-        digest.update(str(value.dtype).encode("utf-8"))
-        digest.update(str(value.shape).encode("utf-8"))
-        digest.update(value.data)  # no tobytes() copy: hash in place
-    return digest.hexdigest()
-
-
-# ----------------------------------------------------------------------
-# public entry points
-# ----------------------------------------------------------------------
-def save_index(
-    index: ShardedIndex,
-    path: str | Path,
-    *,
-    index_config: dict | None = None,
-) -> dict:
-    """Serialise a whole :class:`ShardedIndex` to ``path`` (.npz).
-
-    Everything needed to answer queries bit-identically is written:
-    shard offsets, per-shard model + correction-layer parameters (via
-    the :mod:`repro.core.serialize` state codecs), backend storage
-    including pending deltas/tombstones, tuner decisions and workload
-    counters, plus a format version and a SHA-256 checksum.
-
-    ``index_config`` is an optional facade-level config dict
-    (``IndexConfig.to_dict()``) stored verbatim for ``repro.open`` to
-    restore.  Returns the manifest that was written.  Raises
-    :class:`IndexPersistError` for state the codecs cannot encode
-    (custom model callables) or an empty index.
-    """
-    if len(index) == 0:
-        raise IndexPersistError("cannot save an empty index (no keys)")
-    with index._write_lock:
-        arrays: dict[str, np.ndarray] = {"offsets": index.offsets}
-        shard_entries: list[dict | None] = []
-        for s, shard in enumerate(index.shards):
-            if shard is None:
-                shard_entries.append(None)
-                continue
-            try:
-                entry, shard_arrays = _encode_shard(shard)
-            except TypeError as exc:
-                raise IndexPersistError(
-                    f"shard {s} is not serialisable: {exc}"
-                ) from exc
-            shard_entries.append(entry)
-            for key, value in shard_arrays.items():
-                arrays[f"s{s}_{key}"] = value
-        tuner = index.tuner
-        manifest = {
-            "format": FORMAT_NAME,
-            "format_version": FORMAT_VERSION,
-            "key_dtype": index.key_dtype.str,
-            "name": index.name,
-            "num_shards": index.num_shards,
-            "num_keys": len(index),
-            "backend": index.backend_kind,
-            "target_shard_keys": index._target_shard_keys,
-            "num_splits": index.num_splits,
-            "num_merges": index.num_merges,
-            "config": _config_to_dict(index.config),
-            "auto_tune": (
-                tuner.config.to_dict() if tuner is not None else None
-            ),
-            "index_config": index_config,
-            "shards": shard_entries,
-        }
-        # the collected arrays are LIVE views into the engine (offsets,
-        # gapped slots, occupancy bitmaps); checksum and write must
-        # happen under the write lock too, or a concurrent writer tears
-        # the snapshot into post-write arrays under pre-write scalars —
-        # with a checksum computed from the torn state, so it would
-        # still validate on load
-        manifest_json = json.dumps(manifest, sort_keys=True)
-        payload = {
-            "manifest": np.asarray(manifest_json),
-            "checksum": np.asarray(_checksum(manifest_json, arrays)),
-        }
-        payload.update(arrays)
-        # atomic replace + fsync contract: a save killed mid-write (OOM,
-        # disk-full, SIGKILL) must not destroy the previous good
-        # artifact, and a save that *returned* must survive power loss
-        _atomic_savez(Path(path), payload)
-    return manifest
-
-
-def read_manifest(path: str | Path) -> dict:
-    """Read and validate just the manifest of a saved index.
-
-    Cheap relative to :func:`load_index` (no shard reconstruction), but
-    still verifies the checksum over the full archive.  Raises
-    :class:`IndexPersistError` on anything that is not a healthy saved
-    index.
-    """
-    manifest, _ = _read_verified(path)
-    return manifest
-
-
-def _read_verified(path: str | Path, expected_format: str = FORMAT_NAME):
-    # the ``with`` wraps the np.load call itself (the idiom
-    # ``core/serialize.load_layer`` uses): the archive's zip handle —
-    # and the file descriptor under it — is closed on every exit path,
-    # including the error raises below, instead of leaking until the
-    # garbage collector gets around to it
-    path = Path(path)
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            files = set(archive.files)
-            if "manifest" not in files or "checksum" not in files:
-                raise IndexPersistError(
-                    f"{path} is not a saved index "
-                    "(missing manifest/checksum)"
-                )
-            manifest_json = str(archive["manifest"])
-            try:
-                manifest = json.loads(manifest_json)
-            except json.JSONDecodeError as exc:
-                raise IndexPersistError(
-                    f"{path} has an unreadable manifest: {exc}"
-                ) from exc
-            if manifest.get("format") != expected_format:
-                raise IndexPersistError(
-                    f"{path} is not a saved index "
-                    f"(format={manifest.get('format')!r}, "
-                    f"expected {expected_format!r})"
-                )
-            version = int(manifest.get("format_version", -1))
-            if version > FORMAT_VERSION or version < 1:
-                raise IndexPersistError(
-                    f"{path} uses engine format version {version}; this "
-                    f"library reads versions 1..{FORMAT_VERSION} — "
-                    "upgrade the library or re-save the index"
-                )
-            arrays = {
-                name: archive[name]
-                for name in archive.files
-                if name not in ("manifest", "checksum")
-            }
-            expected = str(archive["checksum"])
-    except (OSError, ValueError, zipfile.BadZipFile, KeyError) as exc:
-        if isinstance(exc, IndexPersistError):
-            raise
-        raise IndexPersistError(
-            f"{path} is not a readable saved index: {exc}"
-        ) from exc
-    actual = _checksum(manifest_json, arrays)
-    if actual != expected:
-        raise IndexPersistError(
-            f"{path} failed its checksum (expected {expected[:12]}…, "
-            f"got {actual[:12]}…) — the file is corrupted or was "
-            "modified after saving"
-        )
-    return manifest, arrays
-
-
-def load_index(path: str | Path) -> tuple[ShardedIndex, dict]:
-    """Reopen a saved index: ``(ShardedIndex, manifest)``, no refitting.
-
-    The returned engine is bit-identical to the one that was saved —
-    same shard offsets, model parameters, correction layers, pending
-    update buffers, tuner decisions and workload counters — and its
-    ``build_info()['source']`` reads ``"loaded"``.  Raises
-    :class:`IndexPersistError` for corrupted, truncated, version-
-    incompatible or non-index files.
-    """
-    manifest, arrays = _read_verified(path)
-    shards: list[ShardBackend | None] = []
-    for s, entry in enumerate(manifest["shards"]):
-        if entry is None:
-            shards.append(None)
-            continue
-        prefix = f"s{s}_"
-        shard_arrays = {
-            name[len(prefix):]: value
-            for name, value in arrays.items()
-            if name.startswith(prefix)
-        }
-        shards.append(_decode_shard(entry, shard_arrays))
-    offsets = arrays["offsets"]
-    live = [shard.keys() for shard in shards if shard is not None]
-    keys = (
-        np.concatenate(live) if live
-        else np.empty(0, dtype=np.dtype(manifest["key_dtype"]))
-    )
-    tuner_config = manifest.get("auto_tune")
-    auto_tune = False
-    if tuner_config is not None:
-        from .autotune import AutoTuneConfig
-
-        auto_tune = AutoTuneConfig.from_dict(tuner_config)
-    index = ShardedIndex(
-        shards, offsets, keys,
-        name=manifest["name"],
-        config=_config_from_dict(manifest["config"]),
-        backend=manifest["backend"],
-        auto_tune=auto_tune,
-    )
-    index._target_shard_keys = int(manifest["target_shard_keys"])
-    index.num_splits = int(manifest["num_splits"])
-    index.num_merges = int(manifest["num_merges"])
-    index.source = "loaded"
-    return index, manifest
-
-
-# ----------------------------------------------------------------------
 # per-shard checkpoint segments (the incremental-persistence unit)
 # ----------------------------------------------------------------------
 def encode_shard_state(
@@ -534,34 +264,22 @@ def save_shard_segment(
 ) -> dict:
     """Write one shard snapshot as a standalone, checksummed ``.npz``.
 
-    The unit of an *incremental* checkpoint
-    (:mod:`repro.engine.durability`): where :func:`save_index` holds the
-    engine write lock across the whole archive, a checkpoint pass
-    snapshots one shard at a time (:func:`encode_shard_state`, under the
-    lock) and writes it here **outside** the lock — ``flushed_lsn``
-    records the WAL position the shard's state already contains, so
-    recovery replays only the records past it.  An empty (``None``)
-    entry writes a segment with no arrays, keeping the manifest's shard
-    list positional.  Same fsync + atomic-replace contract as
-    :func:`save_index`.  Returns the segment manifest.
+    The unit of a checkpoint (:mod:`repro.engine.durability`): a pass
+    snapshots one shard at a time (:func:`encode_shard_state`, under
+    the engine lock) and writes it here **outside** the lock —
+    ``flushed_lsn`` records the WAL position the shard's state already
+    contains, so recovery replays only the records past it (0 in a
+    WAL-less snapshot).  An empty (``None``) entry writes a segment
+    with no arrays, keeping the manifest's shard list positional.
+    Returns the segment manifest.
     """
-    manifest = {
-        "format": SEGMENT_FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
+    return write_archive(path, SEGMENT_FORMAT_NAME, {
         "shard_id": int(shard_id),
         "generation": int(generation),
         "flushed_lsn": int(flushed_lsn),
         "length": int(length),
         "entry": entry,
-    }
-    manifest_json = json.dumps(manifest, sort_keys=True)
-    payload = {
-        "manifest": np.asarray(manifest_json),
-        "checksum": np.asarray(_checksum(manifest_json, arrays)),
-    }
-    payload.update(arrays)
-    _atomic_savez(Path(path), payload)
-    return manifest
+    }, arrays)
 
 
 def load_shard_segment(
@@ -573,7 +291,7 @@ def load_shard_segment(
     checksum verification; raises :class:`IndexPersistError` for
     corrupted, truncated or non-segment files.
     """
-    manifest, arrays = _read_verified(path, SEGMENT_FORMAT_NAME)
+    manifest, arrays = read_archive(path, SEGMENT_FORMAT_NAME)
     entry = manifest.get("entry")
     if entry is None:
         return manifest, None
@@ -581,14 +299,10 @@ def load_shard_segment(
 
 
 __all__ = [
-    "FORMAT_NAME",
     "FORMAT_VERSION",
     "SEGMENT_FORMAT_NAME",
     "IndexPersistError",
     "encode_shard_state",
-    "load_index",
     "load_shard_segment",
-    "read_manifest",
-    "save_index",
     "save_shard_segment",
 ]

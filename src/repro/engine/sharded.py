@@ -209,7 +209,7 @@ class ShardedIndex:
         #: (``engine/durability``) can flush one shard at a time while
         #: writers keep mutating.  Set/cleared under the write lock;
         #: :meth:`resume_maintenance` catches up the deferred work.
-        self._defer_maintenance = False
+        self._defer_maintenance = 0  # depth: passes in flight
         self._refresh_routing()
 
     # ------------------------------------------------------------------
@@ -528,10 +528,12 @@ class ShardedIndex:
         operations that renumber shards are parked.  The incremental
         checkpointer (:mod:`repro.engine.durability`) wraps its pass in
         this so per-shard segment files and WAL shard tags agree about
-        which shard is which.  Re-entrant calls are idempotent.
+        which shard is which.  Calls nest: a ``save()`` racing a
+        background checkpoint each defer and resume once, and the
+        structure stays frozen until the last of them resumes.
         """
         with self._write_lock:
-            self._defer_maintenance = True
+            self._defer_maintenance += 1
 
     def resume_maintenance(self) -> None:
         """Re-enable splits/merges and catch up the deferred ones.
@@ -545,7 +547,9 @@ class ShardedIndex:
         with self._write_lock:
             if not self._defer_maintenance:
                 return
-            self._defer_maintenance = False
+            self._defer_maintenance -= 1
+            if self._defer_maintenance:
+                return  # another pass still needs the structure frozen
             for s in sorted((int(x) for x in self._nonempty),
                             reverse=True):
                 self._maybe_maintain(s)

@@ -69,6 +69,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.serialize import fsync_dir
+
 #: File magic; a file not starting with it is not a WAL generation.
 WAL_MAGIC = b"RWAL"
 
@@ -116,20 +118,6 @@ class WalRecord:
     op: int
     shard: int
     key: object
-
-
-def _fsync_dir(path: Path) -> None:
-    """Flush a directory entry to disk (no-op where unsupported)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform without dir-fsync
-        pass
-    finally:
-        os.close(fd)
 
 
 def _generation_path(wal_root: Path, generation: int) -> Path:
@@ -321,7 +309,7 @@ class WalWriter:
                 _generation_path(self.wal_root, gen).unlink(missing_ok=True)
                 dropped += 1
         if dropped:
-            _fsync_dir(self.wal_root)
+            fsync_dir(self.wal_root)
         return dropped
 
     def close(self) -> None:
@@ -351,7 +339,7 @@ class WalWriter:
             self._fh.flush()
         # the directory entry is durable from here on, so every later
         # commit is exactly one file fsync
-        _fsync_dir(self.wal_root)
+        fsync_dir(self.wal_root)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import shutil
 import time
 from dataclasses import dataclass
@@ -41,21 +40,21 @@ from pathlib import Path
 import numpy as np
 
 from ..api import Index
+from ..core.serialize import atomic_write, atomic_write_text, fsync_dir
 from ..engine.durability import (
     MANIFEST_NAME,
-    DurabilityError,
     DurabilityManager,
-    _atomic_write_text,
+    check_manifest,
     is_durable_dir,
+    load_segment,
     replay_directory,
 )
-from ..engine.persist import IndexPersistError, load_shard_segment
+from ..engine.persist import IndexPersistError
 from ..engine.wal import (
     OP_DELETE,
     OP_INSERT,
     WalError,
     WalWriter,
-    _fsync_dir,
     list_generations,
     read_wal,
 )
@@ -140,26 +139,26 @@ def _clear_directory(root: Path) -> None:
     manifest = root / MANIFEST_NAME
     if manifest.exists():
         manifest.unlink()
-        _fsync_dir(root)
+        fsync_dir(root)
     shutil.rmtree(root / "wal", ignore_errors=True)
     shutil.rmtree(root / "segments", ignore_errors=True)
 
 
-def _write_segment(path: Path, blob: bytes):
-    """Durably write one fetched segment, then checksum-verify it.
+def _write_segment(root: Path, manifest: dict, slot: int, blob: bytes):
+    """Durably write one fetched segment, then verify it.
 
-    Returns ``(segment manifest, shard backend)`` from
-    :func:`~repro.engine.persist.load_shard_segment` — corruption in
-    transit or on disk is caught *before* the manifest publish makes
-    the segment reachable.
+    ``manifest`` has passed
+    :func:`~repro.engine.durability.check_manifest`, so the segment
+    name cannot leave ``root``.  Returns ``(shard backend, flushed LSN,
+    length)`` from :func:`~repro.engine.durability.load_segment` —
+    corruption in transit or on disk, or a segment that is not the one
+    its slot names, is caught *before* the manifest publish makes it
+    reachable.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
-    _fsync_dir(path.parent)
-    return load_shard_segment(path)
+    (root / "segments").mkdir(exist_ok=True)
+    atomic_write(
+        root / manifest["segments"][slot], lambda fh: fh.write(blob))
+    return load_segment(root, manifest, slot)
 
 
 class _Conn:
@@ -336,8 +335,7 @@ class ReplicaIndex:
             try:
                 await self._boot_existing(hello)
                 booted = True
-            except (DurabilityError, IndexPersistError, WalError,
-                    ReplicaError):
+            except (IndexPersistError, WalError, ReplicaError):
                 booted = False  # unusable local state: ship it fresh
         if not booted:
             await self._full_sync()
@@ -348,9 +346,7 @@ class ReplicaIndex:
         loop = asyncio.get_running_loop()
         state = await loop.run_in_executor(
             None, replay_directory, self.directory)
-        if state.index is None:
-            raise ReplicaError("local directory recovered empty")
-        if np.dtype(state.key_dtype) != np.dtype(hello["key_dtype"]):
+        if state.index.key_dtype != np.dtype(hello["key_dtype"]):
             raise ReplicaError(
                 "local key dtype differs from the leader's")
         # fault detector: the log is one append-only file per
@@ -380,14 +376,20 @@ class ReplicaIndex:
         loop = asyncio.get_running_loop()
         conn = self._conn
         r = await conn.request({"op": "repl_manifest"})
-        manifest = r["manifest"]
+        try:
+            # before any byte is written: names in a leader-supplied
+            # manifest become local paths
+            manifest = check_manifest(
+                r.get("manifest"), f"the manifest {self.host}:{self.port} sent")
+        except IndexPersistError as exc:
+            raise ReplicaError(str(exc)) from exc
         key_dtype = np.dtype(manifest["key_dtype"])
         # release the stale local state before deleting it from under
         # its own WAL writer
         await self._teardown_local()
         await loop.run_in_executor(None, _clear_directory, self.directory)
         shards, flushed, lengths = [], [], []
-        for name in manifest["segments"]:
+        for slot, name in enumerate(manifest["segments"]):
             blob = bytearray()
             while True:
                 part = await conn.request({
@@ -399,14 +401,15 @@ class ReplicaIndex:
                 if part["eof"]:
                     break
             self.bytes_synced += len(blob)
-            seg_manifest, shard = await loop.run_in_executor(
-                None, _write_segment, self.directory / name, bytes(blob))
+            shard, flushed_lsn, length = await loop.run_in_executor(
+                None, _write_segment, self.directory, manifest, slot,
+                bytes(blob))
             shards.append(shard)
-            flushed.append(int(seg_manifest["flushed_lsn"]))
-            lengths.append(int(seg_manifest["length"]))
+            flushed.append(flushed_lsn)
+            lengths.append(length)
         # every segment verified on disk: publish the commit point
         await loop.run_in_executor(
-            None, _atomic_write_text, self.directory / MANIFEST_NAME,
+            None, atomic_write_text, self.directory / MANIFEST_NAME,
             json.dumps(manifest, sort_keys=True, indent=1))
         try:
             await conn.request({"op": "repl_unpin"})
@@ -634,7 +637,7 @@ class ReplicaIndex:
         }
 
     def _dump_state(self) -> None:
-        _atomic_write_text(
+        atomic_write_text(
             self.directory / REPLICA_STATE_NAME,
             json.dumps(self._state_dict(), sort_keys=True, indent=1))
 

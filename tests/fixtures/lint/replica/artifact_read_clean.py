@@ -1,4 +1,4 @@
-"""Lint fixture: RPR6xx-clean replication artifact reads.
+"""Lint fixture: RPR6xx-clean artifact reads (the sanctioned readers).
 
 This file is never imported, only parsed.
 """
@@ -8,7 +8,7 @@ import json
 import numpy as np
 
 
-def _read_verified(path):
+def read_archive(path):
     with np.load(path, allow_pickle=False) as archive:
         manifest = json.loads(bytes(archive["manifest"]).decode())
     return manifest
@@ -22,11 +22,11 @@ def read_replica_state(path):
         return _parse(fh.read())
 
 
-class Follower:
-    @staticmethod
-    def _read_manifest(path):
-        with open(path) as fh:
-            return json.load(fh)
+def load_manifest(path):
+    with open(path) as fh:
+        return json.load(fh)
 
+
+class Follower:
     def boot(self, path):
-        return _read_verified(path)
+        return read_archive(path), load_manifest(path)

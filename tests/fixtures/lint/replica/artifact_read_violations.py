@@ -1,4 +1,4 @@
-"""Lint fixture: RPR6xx replication artifact-read violations.
+"""Lint fixture: RPR6xx artifact-read violations.
 
 This file is never imported, only parsed.
 """
@@ -25,3 +25,9 @@ def read_state_shortcut(text):
 async def fetch_and_trust(path):
     blob = np.load(path, allow_pickle=False)  # expect: RPR601
     return blob
+
+
+def _read_verified(path):
+    # the pre-container reader names are no longer sanctioned
+    with np.load(path, allow_pickle=False) as archive:  # expect: RPR601
+        return json.loads(str(archive["manifest"]))  # expect: RPR602

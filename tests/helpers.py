@@ -9,8 +9,17 @@ Fixtures stay in ``tests/conftest.py``.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 from hypothesis import strategies as st
+
+
+def tree_bytes(root) -> dict[str, bytes]:
+    """Every file under ``root`` with its bytes (a byte-identity probe)."""
+    root = Path(root)
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def sorted_uint_arrays(

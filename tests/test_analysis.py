@@ -153,6 +153,15 @@ def test_ignore_accepts_prefixes():
     assert findings_of(path, ignore=["RPR1"]) == []
 
 
+def test_artifact_read_rules_apply_outside_engine_and_replica():
+    """RPR601/602 used to be scoped to engine/ + replica/, which is how
+    core/serialize.py's bare np.load / json.loads went unseen."""
+    source = (FIXTURES / "replica" / "artifact_read_violations.py").read_text()
+    for where in ("src/repro/core/serialize.py", "src/repro/cli.py"):
+        found = lint_source(source, Path(where), select=["RPR6"])
+        assert {f.code for f in found} == {"RPR601", "RPR602"}, where
+
+
 # ----------------------------------------------------------------------
 # self-check: the project's own sources must lint clean
 # ----------------------------------------------------------------------

@@ -286,7 +286,8 @@ def test_cli_build_save_inspect(tmp_path, capsys):
                  "--shards", "3", "--preset", "mixed",
                  "--save", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "source=built" in out and path.exists()
+    assert "source=built" in out and path.is_dir()
+    assert "(0.0 MB)" not in out  # the size of the files, not the dirent
 
     assert main(["inspect", str(path)]) == 0
     out = capsys.readouterr().out

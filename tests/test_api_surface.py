@@ -17,8 +17,10 @@ PUBLIC_MODULES = [
     "repro.datasets",
     "repro.bench",
     "repro.cli",
+    "repro.core.serialize",
     "repro.engine",
     "repro.engine.persist",
+    "repro.engine.durability",
     "repro.serve",
     "repro.net",
     "repro.analysis",
@@ -144,6 +146,30 @@ def test_facade_classes_document_their_methods():
     from repro.engine.persist import IndexPersistError
 
     _assert_methods_documented(Index, IndexConfig, IndexPersistError)
+
+
+def test_one_persistence_surface():
+    """ISSUE 22: the whole-engine archive and the per-object helpers are
+    gone — from the modules, not just from ``__all__`` — and what
+    replaced them is exported."""
+    import repro.core
+    import repro.engine
+    import repro.engine.persist
+
+    for module, names in (
+        (repro.engine, ("save_index", "load_index", "read_manifest")),
+        (repro.engine.persist, ("save_index", "load_index", "read_manifest",
+                                "FORMAT_NAME")),
+        (repro.core, ("save_shift_table", "save_compact_shift_table",
+                      "save_simple_model", "load_simple_model")),
+    ):
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in module.__all__
+    assert {"save_layer", "load_layer", "save_model", "load_model"} \
+        <= set(repro.core.__all__)
+    assert issubclass(repro.engine.DurabilityError,
+                      repro.engine.IndexPersistError)
 
 
 def test_facade_and_engine_agree(tmp_path):

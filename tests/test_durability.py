@@ -36,9 +36,12 @@ from repro.engine.durability import (
     DurabilityManager,
     is_durable_dir,
     replay_directory,
+    save_snapshot,
 )
 from repro.engine.wal import WalError, list_generations
 from repro.serve import IndexServer
+
+from helpers import tree_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BACKENDS = ("static", "gapped", "fenwick")
@@ -286,6 +289,56 @@ class TestErrors:
 
 
 # ----------------------------------------------------------------------
+# inspect is a read-only open
+# ----------------------------------------------------------------------
+class TestInspectIsReadOnly:
+    def test_inspect_never_writes_to_an_idle_durable_directory(
+            self, tmp_path, capsys):
+        """``inspect`` used to go through ``Index.open`` →
+        ``DurabilityManager.recover``, which opens a WAL writer: three
+        inspects left ``wal/g0000000002.wal … g0000000004.wal`` behind."""
+        from repro.cli import main as cli_main
+
+        db = tmp_path / "db"
+        index = build(make_keys(800))
+        with DurabilityManager.create(index, db, sync="always"):
+            apply_mixed(index, [int(k) for k in index.keys], 30, seed=2)
+        before = tree_bytes(db)
+        for _ in range(3):
+            assert cli_main(["inspect", str(db)]) == 0
+        out = capsys.readouterr().out
+        assert tree_bytes(db) == before
+        assert "source=recovered" in out
+        assert f"num_keys={len(index)}" in out  # tail replayed, in memory
+
+    def test_inspect_beside_a_live_owner_leaves_its_wal_alone(
+            self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        db = tmp_path / "db"
+        index = build(make_keys(800))
+        with DurabilityManager.create(index, db, sync="always") as mgr:
+            index.insert(fresh_keys(1, seed=3)[0])
+            before = tree_bytes(db)
+            assert cli_main(["inspect", str(db)]) == 0
+            assert tree_bytes(db) == before
+            assert list_generations(db / "wal") == [mgr.wal.generation]
+        assert f"num_keys={len(index)}" in capsys.readouterr().out
+
+    def test_durable_only_commands_refuse_a_snapshot_by_name(
+            self, tmp_path):
+        from repro.cli import main as cli_main
+
+        snap = tmp_path / "snap"
+        repro.Index.build(make_keys(300), num_shards=2).save(snap)
+        before = tree_bytes(snap)
+        for command in ("recover", "checkpoint", "replicate"):
+            with pytest.raises(SystemExit, match="is a snapshot"):
+                cli_main([command, str(snap)])
+        assert tree_bytes(snap) == before
+
+
+# ----------------------------------------------------------------------
 # crash at every cut point (hypothesis-driven schedules)
 # ----------------------------------------------------------------------
 class TestCrashCutProperty:
@@ -424,6 +477,24 @@ class TestConcurrentCheckpoint:
         assert_same_keys(rec.index, index)
         assert len(rec.index) == 3000 + cursor["n"]
         rec.close()
+
+    def test_save_racing_a_checkpoint_keeps_the_structure_frozen(
+            self, tmp_path):
+        """``Index.save`` and a background checkpoint both defer
+        maintenance for their pass; whichever ends first must not thaw
+        the shard structure under the other (deferral nests)."""
+        index = build(make_keys(400), shards=2)
+        mgr = DurabilityManager.create(index, tmp_path / "db", sync="async")
+        mgr.checkpoint(resume=False)  # the server's off-loop half
+        assert index._defer_maintenance == 1
+        for k in fresh_keys(3000, seed=33):
+            index.insert(k)  # 8x growth: splits are owed, and parked
+        save_snapshot(index, tmp_path / "snap")
+        assert index._defer_maintenance == 1 and index.num_shards == 2
+        index.resume_maintenance()  # the server's on-loop half
+        assert not index._defer_maintenance and index.num_shards > 2
+        mgr.close()
+        assert_same_keys(replay_directory(tmp_path / "snap").index, index)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,12 @@ from repro import (
 )
 from repro.bench import build_method, measure_index, uniform_over_keys
 from repro.core.range_query import RangeQueryEngine
-from repro.core.serialize import load_layer, save_shift_table
+from repro.core.serialize import (
+    load_layer,
+    load_model,
+    save_layer,
+    save_model,
+)
 from repro.datasets import load
 
 N = 60_000
@@ -38,10 +43,12 @@ def test_full_pipeline_build_tune_measure_serve(tmp_path):
     index, report = tune(data, InterpolationModel(keys), curve=curve)
     assert report.layer_enabled and index.layer is not None
 
-    # persist the layer, reload, rebuild the index
-    path = tmp_path / "layer.npz"
-    save_shift_table(index.layer, path)
-    served = CorrectedIndex(data, index.model, load_layer(path))
+    # persist model and layer separately (§3.9: the layer is detachable),
+    # reload both without refitting, rebuild the index
+    save_model(index.model, tmp_path / "model.npz")
+    save_layer(index.layer, tmp_path / "layer.npz")
+    served = CorrectedIndex(data, load_model(tmp_path / "model.npz"),
+                            load_layer(tmp_path / "layer.npz"))
 
     # measure and verify
     queries = uniform_over_keys(keys, 256, seed=82)

@@ -36,8 +36,15 @@ from hypothesis import strategies as st
 
 import repro
 from repro.engine.durability import is_durable_dir, replay_directory
-from repro.replica import ReplicationServer, follow, is_replica_dir
+from repro.replica import (
+    ReplicaError,
+    ReplicationServer,
+    follow,
+    is_replica_dir,
+)
 from repro.replica.follower import read_replica_state
+
+from helpers import tree_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -495,6 +502,53 @@ class TestLeaderSigkill:
 
 
 # ----------------------------------------------------------------------
+# a leader-supplied manifest names local paths: validate before writing
+# ----------------------------------------------------------------------
+class TestHostileLeader:
+    @pytest.mark.parametrize("name", [
+        "../escaped/g0000000002-s0000.npz",
+        "{abs}/g0000000002-s0000.npz",
+        "segments/g0000000002-s0001.npz",   # another slot's segment
+        "segments/g0000000001-s0000.npz",   # a stale generation's
+    ])
+    def test_hostile_manifest_is_refused_before_any_write(
+            self, tmp_path, name):
+        """``_full_sync`` used to write the fetched blob to ``directory /
+        name`` (``mkdir(parents=True)`` first), so an absolute or ``../``
+        name from the leader escaped the replica directory."""
+        async def scenario():
+            leader = Leader(tmp_path, n=2000)
+            mgr = leader.index.durability
+            good = mgr.manifest["segments"][0]
+            # the leader really serves the hostile name: the file exists
+            # on its side and passes its pinned-manifest membership check
+            evil = name.format(abs=tmp_path / "abs-escaped")
+            target = mgr.root / evil
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes((mgr.root / good).read_bytes())
+            mgr.manifest = dict(
+                mgr.manifest, segments=[evil] + mgr.manifest["segments"][1:])
+            try:
+                async with ReplicationServer(mgr) as server:
+                    with pytest.raises(ReplicaError,
+                                       match="segment paths never leave"):
+                        await follow(server.address,
+                                     tmp_path / "replicas" / "r1",
+                                     reconnect=False)
+            finally:
+                leader.close()
+
+        asyncio.run(scenario())
+        # no segment byte was written, inside the replica directory or
+        # out of it: close() dumped the state file and that is all
+        assert not (tmp_path / "replicas" / "escaped").exists()
+        assert list(tree_bytes(tmp_path / "replicas")) == ["r1/REPLICA.json"]
+        if "abs" in name:
+            assert [p.name for p in (tmp_path / "abs-escaped").iterdir()] \
+                == ["g0000000002-s0000.npz"]  # only the leader's own copy
+
+
+# ----------------------------------------------------------------------
 # observability: replica state file, inspect, CLI probes
 # ----------------------------------------------------------------------
 class TestObservability:
@@ -516,9 +570,11 @@ class TestObservability:
 
         from repro.cli import main as cli_main
 
+        before = tree_bytes(tmp_path / "replica")
         rc = cli_main(["inspect", str(tmp_path / "replica")])
         out = capsys.readouterr().out
         assert rc == 0
+        assert tree_bytes(tmp_path / "replica") == before  # read-only
         assert "replica of" in out
         assert "applied_lsn" in out and "100" in out
         assert "promote" in out

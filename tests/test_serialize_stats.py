@@ -7,11 +7,12 @@ from repro.core.compact import CompactShiftTable
 from repro.core.corrected_index import CorrectedIndex
 from repro.core.records import SortedData
 from repro.core.serialize import (
+    SERIALIZABLE_MODELS,
+    IndexPersistError,
     load_layer,
-    load_simple_model,
-    save_compact_shift_table,
-    save_shift_table,
-    save_simple_model,
+    load_model,
+    save_layer,
+    save_model,
 )
 from repro.core.shift_table import ShiftTable
 from repro.datasets import load
@@ -21,7 +22,8 @@ from repro.datasets.stats import (
     duplication_ratio,
     gap_tail_index,
 )
-from repro.models import InterpolationModel, LinearModel
+from repro.models import FunctionModel, InterpolationModel, LinearModel
+from repro.models.factory import make_model
 
 N = 20_000
 
@@ -38,7 +40,7 @@ def test_shift_table_roundtrip(tmp_path, keys):
     model = InterpolationModel(keys)
     layer = ShiftTable.build(keys, model)
     path = tmp_path / "layer.npz"
-    save_shift_table(layer, path)
+    save_layer(layer, path)
     loaded = load_layer(path)
     assert isinstance(loaded, ShiftTable)
     assert np.array_equal(loaded.deltas, layer.deltas)
@@ -55,25 +57,56 @@ def test_compact_layer_roundtrip(tmp_path, keys):
     model = InterpolationModel(keys)
     layer = CompactShiftTable.build(keys, model, num_partitions=N // 10)
     path = tmp_path / "compact.npz"
-    save_compact_shift_table(layer, path)
+    save_layer(layer, path)
     loaded = load_layer(path)
     assert isinstance(loaded, CompactShiftTable)
     assert np.array_equal(loaded.drifts, layer.drifts)
     assert loaded.mean_abs_error == layer.mean_abs_error
 
 
-def test_load_layer_rejects_garbage(tmp_path):
+def test_load_layer_rejects_garbage(tmp_path, keys):
     path = tmp_path / "junk.npz"
     np.savez(path, kind=np.asarray("mystery"), version=np.asarray(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a readable repro-layer"):
         load_layer(path)
+    # a model file is a healthy artifact of the wrong kind
+    save_model(InterpolationModel(keys), path)
+    with pytest.raises(IndexPersistError, match="format='repro-model'"):
+        load_layer(path)
+
+
+def test_flipped_byte_is_refused(tmp_path, keys):
+    """What the old per-object helpers could not pass: they stored no
+    checksum, so one flipped delta silently shifted every window."""
+    model = InterpolationModel(keys)
+    path = tmp_path / "layer.npz"
+    save_layer(ShiftTable.build(keys, model), path)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01  # inside the (uncompressed) delta array
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexPersistError, match="checksum|not a readable"):
+        load_layer(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["layer.npz"]  # no .tmp
+
+
+@pytest.mark.parametrize("family", SERIALIZABLE_MODELS)
+def test_every_model_family_roundtrips_through_a_file(tmp_path, keys, family):
+    model = make_model(family, keys)
+    path = tmp_path / f"{family}.npz"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert type(loaded) is type(model)
+    sample = keys[:: N // 100]
+    assert np.array_equal(
+        loaded.predict_pos_batch(sample), model.predict_pos_batch(sample)
+    )
 
 
 def test_simple_model_roundtrip(tmp_path, keys):
     for model in (InterpolationModel(keys), LinearModel(keys)):
-        path = tmp_path / f"{model.name}.json"
-        save_simple_model(model, path)
-        loaded = load_simple_model(path)
+        path = tmp_path / f"{model.name}.npz"
+        save_model(model, path)
+        loaded = load_model(path)
         sample = keys[:: N // 100]
         assert np.array_equal(
             loaded.predict_pos_batch(sample), model.predict_pos_batch(sample)
@@ -85,9 +118,9 @@ def test_interpolation_roundtrip_is_bit_identical(tmp_path):
     # need not invert the builder's num_keys / span bit-exactly
     keys = np.asarray([3, 7, 8, 13], dtype=np.uint64)
     model = InterpolationModel(keys)
-    path = tmp_path / "im.json"
-    save_simple_model(model, path)
-    loaded = load_simple_model(path)
+    path = tmp_path / "im.npz"
+    save_model(model, path)
+    loaded = load_model(path)
     assert loaded._min == model._min
     assert loaded._max == model._max
     assert loaded._scale == model._scale
@@ -106,9 +139,9 @@ def test_simple_model_roundtrip_bit_identical_many_datasets(tmp_path):
         keys = np.sort(rng.integers(0, 1 << 48, n, dtype=np.uint64))
         probes = rng.integers(0, 1 << 48, 64, dtype=np.uint64)
         for model in (InterpolationModel(keys), LinearModel(keys)):
-            path = tmp_path / f"m{trial}.json"
-            save_simple_model(model, path)
-            loaded = load_simple_model(path)
+            path = tmp_path / f"m{trial}.npz"
+            save_model(model, path)
+            loaded = load_model(path)
             assert np.array_equal(
                 loaded.predict_pos_batch(probes),
                 model.predict_pos_batch(probes),
@@ -120,18 +153,18 @@ def test_simple_model_roundtrip_bit_identical_many_datasets(tmp_path):
 def test_degenerate_interpolation_roundtrip(tmp_path):
     keys = np.full(5, 42, dtype=np.uint64)  # span 0 => scale 0
     model = InterpolationModel(keys)
-    path = tmp_path / "flat.json"
-    save_simple_model(model, path)
-    loaded = load_simple_model(path)
+    path = tmp_path / "flat.npz"
+    save_model(model, path)
+    loaded = load_model(path)
     assert loaded._max == model._max == loaded._min
     assert loaded.predict_pos(42) == model.predict_pos(42) == 0.0
 
 
-def test_save_simple_model_rejects_big_models(tmp_path, keys):
-    from repro.models import RMIModel
-
-    with pytest.raises(TypeError):
-        save_simple_model(RMIModel(keys, 64), tmp_path / "rmi.json")
+def test_save_model_rejects_models_without_a_codec(tmp_path, keys):
+    model = FunctionModel(lambda q: 0.0, len(keys))
+    with pytest.raises(TypeError, match="no state codec"):
+        save_model(model, tmp_path / "fn.npz")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
