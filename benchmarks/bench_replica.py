@@ -7,6 +7,8 @@ Standalone script (not a pytest-benchmark target) so CI can smoke it:
 
 Two experiments (see :mod:`repro.bench.replica`): full-sync wall time
 vs leader size, and steady-state replica lag vs sustained write rate.
+Each leader is a durable index behind ``Index.serve(addr=...)``; its
+followers connect to that serving address.
 Every cell verifies the replica against a live ``np.searchsorted``
 oracle — the script exits nonzero on a single mismatch, which is the
 CI gate.  Results land in ``BENCH_replica.json``.

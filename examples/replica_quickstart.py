@@ -1,8 +1,8 @@
 """Replication quickstart: checkpoint shipping + WAL-tail streaming.
 
-Builds a durable leader, exposes its replication endpoint alongside
-the TCP front end (``Index.serve(replicate_addr=...)``), and walks a
-follower through its whole lifecycle:
+Builds a durable leader, serves it over TCP (``Index.serve(addr=...)``;
+replication rides the same port), and walks a follower through its
+whole lifecycle:
 
 1. **full sync** — an empty directory pulls the leader's published
    checkpoint generation (chunked, checksum-verified segment fetches),
@@ -39,13 +39,11 @@ async def main() -> None:
     index.durability.keep_generations = 2  # resume window across GC
     index.checkpoint()  # publish a generation for followers to ship
 
-    async with index.serve(addr=("127.0.0.1", 0),
-                           replicate_addr=("127.0.0.1", 0)) as net:
-        print(f"leader: serving on {net.address}, "
-              f"replicating on {net.replication_address}")
+    async with index.serve(addr=("127.0.0.1", 0)) as net:
+        print(f"leader: serving and replicating on {net.address}")
 
         # 1. full sync + live streaming, oracle-verified reads
-        replica = await follow(net.replication_address, tmp / "replica")
+        replica = await follow(net.address, tmp / "replica")
         fresh = (rng.choice(1 << 40, 500, replace=False)
                  .astype(np.uint64) | np.uint64(1 << 41))
         for key in fresh:
@@ -66,7 +64,7 @@ async def main() -> None:
         # 2. reconnect resumes incrementally (no segment re-ship)
         for key in fresh:
             index.delete(key)  # writes while the follower is away
-        replica = await follow(net.replication_address, tmp / "replica")
+        replica = await follow(net.address, tmp / "replica")
         await replica.wait_caught_up()
         assert np.array_equal(replica.keys, index.keys)
         print(f"reconnect: {replica.full_syncs} full syncs, "

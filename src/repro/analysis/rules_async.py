@@ -1,7 +1,8 @@
-"""RPR4xx — async safety in the serving layer (``serve/``).
+"""RPR4xx — async safety in the serving layers (``serve/``, ``net/``,
+``replica/``).
 
-The asyncio front end (and the replication tier, ``replica/``)
-multiplexes every client over one event loop; a
+The asyncio serving core, its TCP front end and the replication
+handlers it hosts multiplex every client over one event loop; a
 single blocking call in a coroutine stalls *all* in-flight requests for
 its duration (a 5 ms fsync is ~250 batch windows).  ``IndexServer``
 therefore pushes every blocking durability call through
@@ -62,7 +63,7 @@ class BlockingCallInAsync(Rule):
     name = "blocking-call-in-async"
     summary = ("blocking calls (time.sleep, os.fsync, lock acquire, sync "
                "file I/O) in async def stall every in-flight request")
-    scope_dirs = ("serve", "replica")
+    scope_dirs = ("serve", "net", "replica")
 
     def check(self, ctx: ModuleContext) -> list:
         findings = []

@@ -515,7 +515,7 @@ class Index:
     # serving
     # ------------------------------------------------------------------
     def serve(self, addr=None, *, max_frame: int | None = None,
-              replicate_addr=None, **server_opts):
+              **server_opts):
         """A configured serving front end (in-process or TCP).
 
         Without ``addr`` this returns the asyncio
@@ -541,11 +541,10 @@ class Index:
         so awaited writes are acknowledged writes and
         ``checkpoint_interval=`` schedules background checkpoints.
 
-        ``replicate_addr=(host, port)`` (durable indexes only) also
-        binds a :class:`~repro.replica.leader.ReplicationServer` so
-        read replicas can full-sync the published checkpoint and
-        stream the WAL tail (:func:`repro.replica.follow`); its bound
-        address is ``net.replication_address``.
+        A durable index served over TCP is also a replication leader:
+        :func:`repro.replica.follow` pointed at ``net.address``
+        full-syncs the published checkpoint and streams the WAL tail
+        over the same port.
         """
         from .serve.server import IndexServer
 
@@ -554,22 +553,15 @@ class Index:
             server_opts.setdefault("durability", self.durability)
         server = IndexServer(self.engine, **server_opts)
         if addr is None:
-            if replicate_addr is not None:
-                raise ValueError(
-                    "replicate_addr needs addr=(host, port) — replication "
-                    "runs alongside the TCP front end")
             return server
         from .net.protocol import DEFAULT_MAX_FRAME
         from .net.server import NetServer
 
         host, port = addr
-        if replicate_addr is not None:
-            rhost, rport = replicate_addr
-            replicate_addr = (rhost, int(rport))
         return NetServer(
             server, host, int(port),
             max_frame=DEFAULT_MAX_FRAME if max_frame is None else max_frame,
-            own_server=True, replicate_addr=replicate_addr,
+            own_server=True,
         )
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..api import Index
-from ..replica import ReplicationServer, follow
+from ..replica import follow
 
 __all__ = ["run_replica_bench"]
 
@@ -95,9 +95,9 @@ async def _sync_cell(n: int, ops: int, queries: int, seed: int) -> dict:
         leader = _OracleLeader(tmp / "leader", n, seed)
         try:
             leader.write(ops)
-            async with ReplicationServer(leader.index.durability) as server:
+            async with leader.index.serve(addr=("127.0.0.1", 0)) as net:
                 t0 = time.perf_counter()
-                replica = await follow(server.address, tmp / "replica")
+                replica = await follow(net.address, tmp / "replica")
                 await replica.wait_caught_up(timeout=120)
                 sync_s = time.perf_counter() - t0
                 mismatches = _verify(
@@ -141,8 +141,8 @@ async def _lag_cell(n: int, rate: int, duration_s: float, queries: int,
                     time.sleep(delay)
 
         try:
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp / "replica")
+            async with leader.index.serve(addr=("127.0.0.1", 0)) as net:
+                replica = await follow(net.address, tmp / "replica")
                 thread = threading.Thread(target=writer)
                 thread.start()
                 samples: list[int] = []

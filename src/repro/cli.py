@@ -16,10 +16,8 @@ reproduction can be poked without writing Python:
 * ``checkpoint``   — run one incremental checkpoint pass over a
   durable directory and prune its WAL (``--keep-generations`` leaves
   a resume window for briefly-disconnected replicas)
-* ``replicate``    — serve a durable directory to read replicas
-  (checkpoint shipping + WAL-tail streaming, see repro.replica)
-* ``follow``       — run a read replica of a ``replicate`` endpoint
-  into a local directory
+* ``follow``       — run a read replica of a leader (``serve --load``
+  on a durable directory) into a local directory
 * ``table2``       — run Table 2 cells for chosen datasets/methods
 * ``fig``          — run one figure driver (2, 3, 6, 7, 9)
 * ``datasets``     — list datasets with their §2.4/§3.6 diagnostics
@@ -31,7 +29,7 @@ reproduction can be poked without writing Python:
 * ``engine-update-bench`` — mixed read/write workload across backends
 * ``serve-bench``  — async serving: micro-batching + caching vs unbatched
 * ``serve``        — run the TCP serving front end (framed binary
-  protocol; scale reads with ``replicate`` + ``follow``)
+  protocol; a durable ``--load`` also leads ``follow`` replicas)
 * ``autotune-bench`` — per-shard §3.9 auto-tuning vs fixed global configs
 * ``lint``         — project linter (RPR rules: dtype/lock/durability/
   async contracts), text or JSON findings, nonzero exit on violations
@@ -537,6 +535,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host, port = net.address
         print(f"serving {name} (n={len(index.engine):,}) on {host}:{port}",
               flush=True)
+        if index.durable:
+            print(f"replicas: python -m repro follow {host} {port} <dir>",
+                  flush=True)
         try:
             if args.probe:
                 from .net import Client
@@ -552,42 +553,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pass  # pragma: no cover - interactive stop
         finally:
             await net.close()
-        return 0
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive stop
-        return 0
-
-
-def _cmd_replicate(args: argparse.Namespace) -> int:
-    import asyncio
-
-    index = _open_durable(args.path)
-    if args.keep_generations:
-        index.durability.keep_generations = args.keep_generations
-
-    async def run() -> int:
-        from .replica import ReplicationServer, follow
-
-        async with ReplicationServer(
-                index.durability, args.host, args.port) as server:
-            host, port = server.address
-            print(f"replicating {args.path} (n={len(index.engine):,}, "
-                  f"generation {index.durability.generation}) "
-                  f"on {host}:{port}", flush=True)
-            if args.probe:
-                import tempfile
-
-                with tempfile.TemporaryDirectory() as tmp:
-                    replica = await follow((host, port), tmp)
-                    await replica.wait_caught_up(timeout=60)
-                    print(f"probe: follower synced {len(replica):,} "
-                          f"key(s), lag {replica.lag().lsns} LSN(s)")
-                    await replica.close()
-                return 0
-            print("Ctrl-C to stop", flush=True)
-            await asyncio.Event().wait()  # pragma: no cover - interactive
         return 0
 
     try:
@@ -798,31 +763,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_checkpoint)
 
     p = sub.add_parser(
-        "replicate",
-        help="serve a durable directory to read replicas: checkpoint "
-             "shipping + WAL-tail streaming (see repro.replica)",
-    )
-    p.add_argument("path", help="durable directory to replicate "
-                                "(written by `build --durable-dir`)")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="address to bind (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=7422,
-                   help="TCP port to bind (0 picks an ephemeral port)")
-    p.add_argument("--keep-generations", type=int, default=1,
-                   help="WAL generations to retain past each checkpoint "
-                        "so followers can resume (default 1)")
-    p.add_argument("--probe", action="store_true",
-                   help="after binding, full-sync a throwaway follower "
-                        "against the endpoint and exit (smoke mode)")
-    p.set_defaults(fn=_cmd_replicate)
-
-    p = sub.add_parser(
         "follow",
-        help="run a read replica of a `replicate` endpoint into a "
-             "local directory (full sync, then WAL-tail streaming)",
+        help="run a read replica of a leader (`serve --load` on a "
+             "durable directory) into a local directory (full sync, "
+             "then WAL-tail streaming)",
     )
-    p.add_argument("host", help="leader replication host")
-    p.add_argument("port", type=int, help="leader replication port")
+    p.add_argument("host", help="leader serving host")
+    p.add_argument("port", type=int, help="leader serving port")
     p.add_argument("dir", help="local replica directory (reused across "
                                "runs for incremental catch-up)")
     p.add_argument("--durability", default="async",
@@ -942,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(see `repro datasets`)")
     p.add_argument("--load", default=None, metavar="PATH",
                    help="serve a saved index directory (snapshot or "
-                        "durable) instead of building --dataset")
+                        "durable) instead of building --dataset; a "
+                        "durable one also leads `follow` replicas")
     p.add_argument("--preset", default=None,
                    choices=["read_heavy", "mixed", "auto"],
                    help="IndexConfig preset (overrides --model/--layer/"

@@ -211,6 +211,34 @@ class RecoveredState:
         return int(self.manifest["generation"])
 
 
+def apply_record(index, flushed_lsns: list[int], lsn: int, op: int,
+                 shard: int, key) -> str:
+    """Apply one logged write the way recovery does; says what happened.
+
+    ``"filtered"`` — the per-shard flushed-LSN filter (module docstring)
+    found its effect already inside shard ``shard``'s segment;
+    ``"applied"`` — inserted or deleted through the ordinary write path;
+    ``"skipped"`` — a delete of an absent key.  Recovery
+    (:func:`replay_directory`) and the replication follower share it.
+    """
+    if shard < len(flushed_lsns) and lsn <= flushed_lsns[shard]:
+        return "filtered"
+    if op == OP_INSERT:
+        index.insert(key)
+        return "applied"
+    if op != OP_DELETE:
+        raise DurabilityError(f"unknown WAL opcode {op} at LSN {lsn}")
+    try:
+        index.delete(key)
+    except KeyError:
+        # a torn, never-acknowledged tail can keep a delete whose
+        # matching insert was lost; acknowledged records can never hit
+        # this (their dependencies were fsynced by the same or an
+        # earlier commit)
+        return "skipped"
+    return "applied"
+
+
 def replay_directory(root: str | Path) -> RecoveredState:
     """Rebuild the live engine state a saved-index directory describes.
 
@@ -241,38 +269,19 @@ def replay_directory(root: str | Path) -> RecoveredState:
         manifest, shards, lengths, key_dtype
     )
     replayed = skipped = 0
-    for record in records:
-        if (
-            record.shard < len(flushed_lsns)
-            and record.lsn <= flushed_lsns[record.shard]
-        ):
-            continue  # effect already inside that shard's segment
-        if index is None:
-            if record.op != OP_INSERT:
-                skipped += 1  # a delete cannot land on emptiness
-                continue
-            index = DurabilityManager._seed_engine(
-                manifest, record.key, key_dtype
-            )
-            replayed += 1
-            continue
-        if record.op == OP_INSERT:
-            index.insert(record.key)
-            replayed += 1
-        elif record.op == OP_DELETE:
-            try:
-                index.delete(record.key)
-                replayed += 1
-            except KeyError:
-                # a torn, never-acknowledged tail can keep a delete
-                # whose matching insert was lost; acknowledged records
-                # can never hit this (their dependencies were fsynced
-                # by the same or an earlier commit)
-                skipped += 1
+    for r in records:
+        if index is not None:
+            outcome = apply_record(
+                index, flushed_lsns, r.lsn, r.op, r.shard, r.key)
+            replayed += outcome == "applied"
+            skipped += outcome == "skipped"
+        elif r.shard < len(flushed_lsns) and r.lsn <= flushed_lsns[r.shard]:
+            continue  # effect already inside that (empty) segment
+        elif r.op != OP_INSERT:
+            skipped += 1  # a delete cannot land on emptiness
         else:
-            raise DurabilityError(
-                f"unknown WAL opcode {record.op} at LSN {record.lsn}"
-            )
+            index = DurabilityManager._seed_engine(manifest, r.key, key_dtype)
+            replayed += 1
     if index is None:
         raise DurabilityError(
             f"{root} replayed to an empty index (all keys deleted and "
@@ -797,6 +806,7 @@ __all__ = [
     "DurabilityError",
     "DurabilityManager",
     "RecoveredState",
+    "apply_record",
     "check_manifest",
     "is_durable_dir",
     "load_manifest",

@@ -21,13 +21,16 @@ from ..core.records import coerce_query_array
 from ..engine.executor import BatchExecutor
 from ..serve.batcher import check_query
 
-__all__ = ["READ_OPS", "WRITE_OPS", "execute_read", "error_response",
-           "scalar_read"]
+__all__ = ["READ_OPS", "REPL_OPS", "WRITE_OPS", "execute_read",
+           "error_response", "scalar_read"]
 
 #: ops answered from engine state without mutating it
 READ_OPS = frozenset({"ping", "lookup", "range", "range_keys"})
 #: ops that mutate the index (drain barrier + durable ack)
 WRITE_OPS = frozenset({"insert", "delete"})
+#: replication ops (durable indexes only, see repro.replica.leader)
+REPL_OPS = frozenset({"repl_hello", "repl_manifest", "repl_fetch",
+                      "repl_subscribe", "repl_ack", "repl_unpin"})
 
 
 def error_response(rid, exc: BaseException) -> dict:

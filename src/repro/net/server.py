@@ -10,23 +10,37 @@ amortises per-request overhead.
 
 Request envelope (one TLV dict per frame, see :mod:`repro.net.protocol`):
 
-=============  ========================================================
-op             fields / answer
-=============  ========================================================
-``ping``       → ``"pong"``
-``lookup``     ``q`` scalar → int rank; list/ndarray → ndarray
-``range``      ``lo``, ``hi`` scalar → int count; vectors → ndarray
-``range_keys`` ``lo``, ``hi`` scalar → ndarray of keys
-``insert``     ``key`` → owning shard id (durable on ack)
-``delete``     ``key`` → shard id, or KeyError error frame
-``stats``      → ``ServerStats.snapshot()`` + per-connection counters
-``barrier``    drain the batcher (pending reads answer first) → ``True``
-=============  ========================================================
+==================  ===================================================
+op                  fields / answer
+==================  ===================================================
+``ping``            → ``"pong"``
+``lookup``          ``q`` scalar → int rank; list/ndarray → ndarray
+``range``           ``lo``, ``hi`` scalar → int count; vectors → ndarray
+``range_keys``      ``lo``, ``hi`` scalar → ndarray of keys
+``insert``          ``key`` → owning shard id (durable on ack)
+``delete``          ``key`` → shard id, or KeyError error frame
+``stats``           → ``ServerStats.snapshot()`` + per-connection counters
+``barrier``         drain the batcher (pending reads answer first) → ``True``
+``repl_hello``      → generation, last/durable LSN, key dtype, size
+``repl_manifest``   pin + return the published manifest
+``repl_fetch``      ``name``, ``offset`` → one chunk of a pinned segment
+``repl_subscribe``  ``from_lsn`` → ``mode="stream"`` (backlog pushed)
+                    or ``mode="resync"``
+``repl_ack``        ``lsn``, ``lag_s`` follower progress (no response)
+``repl_unpin``      release this connection's generation pin → ``True``
+==================  ===================================================
 
 Responses are ``{"id", "ok": True, "r": ...}`` or ``{"id", "ok": False,
 "error", "message"}``.  Framing violations (bad magic, oversized
 prefix, undecodable TLV) answer one final error frame and close the
 connection; request-level errors fail only their own request.
+
+The ``repl_*`` ops are replication (:mod:`repro.replica.leader`) and
+need a durable index; on any other they answer an error frame.  Once a
+connection subscribes, the server also sends it *pushes* — frames with
+a ``"kind"`` and no ``"id"``: ``wal`` (a columnar run of committed WAL
+records), ``hb`` (the leader's head LSN and generation, once a second)
+and ``resync`` (the stream outran the follower; subscribe again).
 
 This module owns framing and routing only.  How a scalar read is
 admitted, batched, cached and accounted is
@@ -36,7 +50,7 @@ in-process coroutines run — so backpressure is inherited: once
 ``max_inflight`` slots are out, this connection's read loop — and
 therefore the peer's TCP window — stalls.  One process serves; to scale
 reads across processes or hosts, run :func:`repro.replica.follow`
-replicas fed by the leader's committed-WAL stream.
+replicas against this same address.
 """
 
 from __future__ import annotations
@@ -45,7 +59,14 @@ import asyncio
 from functools import partial
 
 from ..serve.server import IndexServer
-from .ops import READ_OPS, WRITE_OPS, error_response, execute_read, scalar_read
+from .ops import (
+    READ_OPS,
+    REPL_OPS,
+    WRITE_OPS,
+    error_response,
+    execute_read,
+    scalar_read,
+)
 from .protocol import DEFAULT_MAX_FRAME, FrameDecoder, ProtocolError, encode_frame
 
 __all__ = ["NetServer"]
@@ -66,22 +87,15 @@ class NetServer:
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
         own_server: bool = False,
-        replicate_addr: tuple[str, int] | None = None,
     ) -> None:
-        if replicate_addr is not None and server.durability is None:
-            raise ValueError(
-                "replicate_addr needs a durable index: build it with "
-                "durable_dir=... (replication ships checkpoint "
-                "segments and streams the WAL)")
         self.server = server
         self.stats = server.stats
         self.host = host
         self.port = port
         self.max_frame = max_frame
         self._own_server = own_server
-        self._replicate_addr = replicate_addr
-        #: the :class:`~repro.replica.leader.ReplicationServer`, once
-        #: started (``replicate_addr=...``); shares :attr:`stats`
+        #: the :class:`~repro.replica.leader.ReplicationService` answering
+        #: ``repl_*`` ops (durable indexes only, else None)
         self.replication = None
         self._asyncio_server: asyncio.base_events.Server | None = None
         self._conn_writers: set[asyncio.StreamWriter] = set()
@@ -91,15 +105,12 @@ class NetServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind (and start replicating, if asked); returns ``(host, port)``."""
-        if self._replicate_addr is not None:
-            from ..replica.leader import ReplicationServer
+        """Bind; returns ``(host, port)``."""
+        if self.server.durability is not None:
+            from ..replica.leader import ReplicationService
 
-            rhost, rport = self._replicate_addr
-            self.replication = ReplicationServer(
-                self.server.durability, rhost, rport,
-                stats=self.stats, max_frame=self.max_frame)
-            await self.replication.start()
+            self.replication = ReplicationService(
+                self.server.durability, self.stats, self.max_frame)
         self._asyncio_server = await asyncio.start_server(
             self._on_connection, self.host, self.port)
         self.port = self._asyncio_server.sockets[0].getsockname()[1]
@@ -109,19 +120,11 @@ class NetServer:
     def address(self) -> tuple[str, int]:
         return self.host, self.port
 
-    @property
-    def replication_address(self) -> tuple[str, int] | None:
-        """Where followers subscribe (None unless replicating)."""
-        return None if self.replication is None else self.replication.address
-
     async def serve_forever(self) -> None:
         await self._asyncio_server.serve_forever()
 
     async def close(self) -> None:
         """Stop accepting, drop connections (and close an owned server)."""
-        if self.replication is not None:
-            await self.replication.close()
-            self.replication = None
         if self._asyncio_server is not None:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
@@ -134,6 +137,8 @@ class NetServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
+        if self.replication is not None:
+            await self.replication.close()
         if self._own_server:
             await self.server.close()
 
@@ -180,6 +185,8 @@ class NetServer:
         finally:
             self._conn_tasks.discard(asyncio.current_task())
             self._conn_writers.discard(writer)
+            if self.replication is not None:
+                self.replication.release(writer)
             self.stats.close_connection(cid)
             writer.close()
             try:
@@ -264,6 +271,14 @@ class NetServer:
         elif op == "barrier":
             await server.drain()
             self._send(conn, writer, {"id": rid, "ok": True, "r": True})
+        elif op in REPL_OPS and self.replication is not None:
+            answer = await self.replication.handle(conn, writer, msg)
+            if answer is not None:
+                self._send(conn, writer, answer)
+        elif op in REPL_OPS:
+            self._send(conn, writer, error_response(rid, ValueError(
+                "replication needs a durable index: build it with "
+                "durable_dir=...")))
         else:
             self._send(conn, writer, error_response(
                 rid, ValueError(f"unknown op {op!r}")))

@@ -10,13 +10,17 @@ Google-scale Disk-based Database": models are expensive to fit and
 cheap to ship, so replicas *load* segments (no refits) and absorb the
 live tail into their pending buffers.
 
-Two halves, one framed TLV protocol (:mod:`repro.net.protocol`):
+Two halves, one wire: a follower connects to the leader's ordinary
+serving address (:class:`~repro.net.server.NetServer`, framed TLV
+protocol of :mod:`repro.net.protocol`) and speaks its ``repl_*`` ops.
 
-* :class:`~repro.replica.leader.ReplicationServer` — wraps the
-  leader's :class:`~repro.engine.durability.DurabilityManager`.  Its
-  ``SegmentShipper`` side serves pinned manifest generations in
-  chunked, checksum-verified segment fetches; its
-  :class:`~repro.replica.leader.WalStreamer` side tails committed WAL
+* :mod:`repro.replica.leader` — when the served index is durable,
+  ``NetServer`` hands those ops to a socketless
+  :class:`~repro.replica.leader.ReplicationService` over the leader's
+  :class:`~repro.engine.durability.DurabilityManager`.  Its
+  :class:`~repro.replica.leader.SegmentShipper` serves pinned manifest
+  generations in chunked, checksum-verified segment fetches; its
+  :class:`~repro.replica.leader.WalStreamer` tails committed WAL
   records (hooked at the engine apply point) to every subscribed
   follower, heartbeating its head LSN.
 * :func:`~repro.replica.follower.follow` /
@@ -44,14 +48,13 @@ from .follower import (
     is_replica_dir,
     read_replica_state,
 )
-from .leader import ReplicationServer, SegmentShipper, WalStreamer
+from .leader import SegmentShipper, WalStreamer
 
 __all__ = [
     "REPLICA_STATE_NAME",
     "ReplicaError",
     "ReplicaIndex",
     "ReplicaLag",
-    "ReplicationServer",
     "SegmentShipper",
     "WalStreamer",
     "follow",

@@ -44,26 +44,16 @@ from ..core.serialize import atomic_write, atomic_write_text, fsync_dir
 from ..engine.durability import (
     MANIFEST_NAME,
     DurabilityManager,
+    apply_record,
     check_manifest,
     is_durable_dir,
     load_segment,
     replay_directory,
 )
 from ..engine.persist import IndexPersistError
-from ..engine.wal import (
-    OP_DELETE,
-    OP_INSERT,
-    WalError,
-    WalWriter,
-    list_generations,
-    read_wal,
-)
-from ..net.protocol import (
-    DEFAULT_MAX_FRAME,
-    FrameDecoder,
-    ProtocolError,
-    encode_frame,
-)
+from ..engine.wal import WalError, WalWriter, list_generations, read_wal
+from ..net.client import Client
+from ..net.protocol import DEFAULT_MAX_FRAME, ProtocolError, encode_frame
 
 __all__ = [
     "REPLICA_STATE_NAME",
@@ -161,116 +151,45 @@ def _write_segment(root: Path, manifest: dict, slot: int, blob: bytes):
     return load_segment(root, manifest, slot)
 
 
-class _Conn:
-    """One leader connection: request/response futures + push queue.
+class _LeaderClient(Client):
+    """A :class:`~repro.net.client.Client` that also takes leader pushes.
 
-    Request frames carry ids and resolve their own futures (the
-    :class:`repro.net.client.Client` idiom); leader-initiated pushes
-    (``"kind"``-tagged frames: wal batches, heartbeats, resync) land in
-    :attr:`pushes` in arrival order.  A dead read loop fails every
-    pending future and enqueues a ``__lost__`` sentinel so the stream
-    consumer wakes up too.
+    Pushes (``"kind"``-tagged frames with no id: wal runs, heartbeats,
+    resync) queue in :attr:`pushes` in arrival order; a lost or closed
+    connection queues a ``__lost__`` sentinel so the stream consumer
+    wakes up too.  It never reconnects by itself — ``ReplicaIndex._run``
+    owns reconnect and resubscribe.
     """
 
     def __init__(self, host: str, port: int, *, timeout: float,
                  max_frame: int) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.max_frame = max_frame
+        super().__init__(host, port, timeout=timeout, reconnect=False,
+                         max_frame=max_frame)
         self.pushes: asyncio.Queue = asyncio.Queue()
-        self.bytes_in = 0
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._task: asyncio.Task | None = None
-        self._pending: dict[int, asyncio.Future] = {}
-        self._next_id = 0
 
-    async def connect(self) -> "_Conn":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
-        self._task = asyncio.create_task(self._read_loop())
-        return self
-
-    async def _read_loop(self) -> None:
-        decoder = FrameDecoder(self.max_frame)
-        try:
-            while True:
-                data = await self._reader.read(1 << 16)
-                if not data:
-                    raise ConnectionResetError(
-                        "leader closed the connection")
-                self.bytes_in += len(data)
-                for msg in decoder.feed(data):
-                    self._route(msg)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._lost(exc)
-
-    def _route(self, msg) -> None:
-        if not isinstance(msg, dict):
-            return
-        if "kind" in msg:
+    def _on_response(self, msg) -> None:
+        if isinstance(msg, dict) and "kind" in msg:
             self.pushes.put_nowait(msg)
-            return
-        fut = self._pending.pop(msg.get("id"), None)
-        if fut is None or fut.done():
-            return
-        if msg.get("ok"):
-            fut.set_result(msg.get("r"))
         else:
-            fut.set_exception(ReplicaError(
-                f"{msg.get('error')}: {msg.get('message')}"))
+            super()._on_response(msg)
 
-    def _lost(self, exc: BaseException) -> None:
-        pending, self._pending = self._pending, {}
-        for fut in pending.values():
-            if not fut.done():
-                fut.set_exception(
-                    ConnectionError(f"connection lost: {exc}"))
+    def _fail_pending(self, exc: BaseException) -> None:
+        super()._fail_pending(exc)
         self.pushes.put_nowait({"kind": "__lost__", "message": str(exc)})
 
     async def request(self, msg: dict):
-        if self._writer is None or self._writer.is_closing():
-            raise ConnectionError("connection is closed")
-        rid = self._next_id
-        self._next_id += 1
-        fut = asyncio.get_running_loop().create_future()
-        self._pending[rid] = fut
+        """One request/response; a leader error frame raises ReplicaError."""
         try:
-            self._writer.write(
-                encode_frame(dict(msg, id=rid), self.max_frame))
-            await self._writer.drain()
-            return await asyncio.wait_for(fut, self.timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(rid, None)
-            raise
-        except (ConnectionError, OSError):
-            self._pending.pop(rid, None)
-            raise
+            return await self._request(msg, idempotent=False)
+        except (OSError, asyncio.TimeoutError):
+            raise  # connection loss or timeout: the caller reconnects
+        except Exception as exc:
+            raise ReplicaError(f"{type(exc).__name__}: {exc}") from exc
 
     def send(self, msg: dict) -> None:
         """Fire-and-forget (acks): write a frame, await no response."""
         if self._writer is not None and not self._writer.is_closing():
             self._writer.write(encode_frame(msg, self.max_frame))
-
-    async def close(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._task = None
-        writer, self._writer, self._reader = self._writer, None, None
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-        self._lost(ConnectionError("connection closed"))
 
 
 class ReplicaIndex:
@@ -297,7 +216,7 @@ class ReplicaIndex:
         self.max_frame = max_frame
         self._sync_mode = sync
         self._reconnect = reconnect
-        self._conn: _Conn | None = None
+        self._conn: _LeaderClient | None = None
         self._index: Index | None = None
         self._wal: WalWriter | None = None
         self._flushed: list[int] = []
@@ -465,8 +384,8 @@ class ReplicaIndex:
     async def _ensure_conn(self) -> None:
         if self._conn is not None:
             return
-        conn = _Conn(self.host, self.port, timeout=self.timeout,
-                     max_frame=self.max_frame)
+        conn = _LeaderClient(self.host, self.port, timeout=self.timeout,
+                             max_frame=self.max_frame)
         await conn.connect()
         self._conn = conn
 
@@ -494,8 +413,8 @@ class ReplicaIndex:
                     raise
                 except Exception:
                     await self._drop_conn()
-            except (ReplicaError, ConnectionError, OSError, ProtocolError,
-                    TimeoutError, asyncio.TimeoutError):
+            except (ReplicaError, IndexPersistError, OSError, ProtocolError,
+                    asyncio.TimeoutError):
                 await self._drop_conn()
             if self._closed or not self._reconnect:
                 break
@@ -574,18 +493,9 @@ class ReplicaIndex:
                     f"gap in the stream (expected LSN {wal.next_lsn}, "
                     f"got {lsn})")
             wal.append(op, shard, key)
-            if shard < len(flushed) and lsn <= flushed[shard]:
-                self.filtered += 1  # effect already inside the segment
-            elif op == OP_INSERT:
-                index.insert(key)
-            elif op == OP_DELETE:
-                try:
-                    index.delete(key)
-                except KeyError:
-                    self.apply_skipped += 1
-            else:
-                raise ReplicaError(
-                    f"unknown opcode {op} at LSN {lsn}")
+            outcome = apply_record(index, flushed, lsn, op, shard, key)
+            self.filtered += outcome == "filtered"
+            self.apply_skipped += outcome == "skipped"
             self.applied_lsn = lsn
             self.streamed_records += 1
 
@@ -760,10 +670,10 @@ class ReplicaIndex:
         if task is not None:
             task.cancel()
         # drop the connection BEFORE awaiting the task: the wait_for
-        # inside _Conn.request can swallow a cancellation that races a
-        # response, leaving _run streaming in a "cancelling" state; the
-        # __lost__ push from the closing connection unwinds it anyway,
-        # and the bounded wait keeps close() finite regardless
+        # inside the client's request can swallow a cancellation that
+        # races a response, leaving _run streaming in a "cancelling"
+        # state; the __lost__ push from the closing connection unwinds
+        # it anyway, and the bounded wait keeps close() finite regardless
         await self._drop_conn()
         if task is not None:
             try:
@@ -798,8 +708,8 @@ async def follow(addr, directory, *, sync: str = "async",
                  max_frame: int = DEFAULT_MAX_FRAME) -> ReplicaIndex:
     """Start (or resume) a read replica of the leader at ``addr``.
 
-    ``addr`` is the leader's replication ``(host, port)``
-    (``Index.serve(replicate_addr=...)`` or CLI ``replicate``);
+    ``addr`` is the leader's serving ``(host, port)`` — a durable
+    index behind ``Index.serve(addr=...)`` or CLI ``serve --load``;
     ``directory`` is the replica's local durable directory — empty for
     a first full sync, or a previous :func:`follow` target to resume
     incrementally from its local WAL head.  ``sync`` sets the local

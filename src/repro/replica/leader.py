@@ -1,7 +1,10 @@
 """Leader half of replication: segment shipping + WAL-tail streaming.
 
-Two services share one framed TLV connection per follower
-(:mod:`repro.net.protocol`):
+Replication rides the serving wire.  A follower connects to the
+leader's ordinary :class:`~repro.net.server.NetServer` address and
+sends ``repl_*`` ops (the op table is in :mod:`repro.net.server`); when
+the served index is durable, ``NetServer`` hands them to this module's
+:class:`ReplicationService`, which has no socket of its own:
 
 * :class:`SegmentShipper` — serves the published checkpoint generation
   (segments + manifest) in chunked, checksum-verifiable fetches.  A
@@ -13,9 +16,14 @@ Two services share one framed TLV connection per follower
   followers.  Records are captured at the engine apply point (a
   :meth:`~repro.engine.durability.DurabilityManager.add_record_listener`
   tap fires under the engine write lock, in LSN order), held in a
-  bounded LSN-keyed :class:`_RecordBuffer`, and pushed
-  as columnar frames — only records at or below ``durable_lsn``, so a
-  follower never applies a write the leader could lose in a crash.
+  bounded ring (:class:`_RecordBuffer`), and pushed as columnar frames
+  — only records at or below ``durable_lsn``, so a follower never
+  applies a write the leader could lose in a crash.
+* :class:`ReplicationService` — per-connection follower state and the
+  flush/heartbeat loop.  Nothing starts before the first ``repl_*``
+  request: a durable server no follower contacts runs no record tap,
+  no timer and no extra commits.  Both stop again when the last
+  follower's connection ends.
 
 ``repl_subscribe`` decides *resume vs. resync*: if the on-disk WAL
 still holds every record past the follower's cursor (``from_lsn``),
@@ -23,19 +31,6 @@ the backlog streams and live pushes take over; a gap (the leader GC'd
 the needed generations — see ``keep_generations``) or a cursor ahead
 of the leader (diverged history) answers ``mode="resync"`` and the
 follower re-ships the whole generation instead.
-
-Op table (requests are ``{"op", "id", ...}`` dicts; pushes carry a
-``"kind"`` and no id):
-
-==================  ==================================================
-``repl_hello``      → generation, last/durable LSN, key dtype, size
-``repl_manifest``   pin + return the published manifest and file sizes
-``repl_fetch``      ``name``, ``offset`` → one chunk of a pinned segment
-``repl_subscribe``  ``from_lsn`` → ``mode="stream"`` (backlog pushed)
-                    or ``mode="resync"``
-``repl_ack``        follower progress report (no response)
-``repl_unpin``      release this connection's generation pin
-==================  ==================================================
 """
 
 from __future__ import annotations
@@ -48,19 +43,26 @@ import numpy as np
 
 from ..engine.wal import read_wal
 from ..net.ops import error_response
-from ..net.protocol import (
-    DEFAULT_MAX_FRAME,
-    FrameDecoder,
-    ProtocolError,
-    encode_frame,
-)
+from ..net.protocol import DEFAULT_MAX_FRAME, encode_frame
 from ..serve.stats import ServerStats
 
-__all__ = ["ReplicationServer", "SegmentShipper", "WalStreamer"]
+__all__ = ["ReplicationService", "SegmentShipper", "WalStreamer"]
 
 #: records per pushed WAL frame (8192 * ~21 bytes ≈ 172 KiB, far under
 #: the frame limit even for 8-byte keys)
-DEFAULT_BATCH_RECORDS = 8192
+BATCH_RECORDS = 8192
+
+#: WAL records the in-memory tail keeps for followers catching up live
+BUFFER_RECORDS = 65536
+
+#: bytes per ``repl_fetch`` segment chunk
+CHUNK_BYTES = 256 * 1024
+
+#: how often the flush loop commits and pushes newly durable records
+FLUSH_INTERVAL = 0.02
+
+#: how often a streaming follower hears the leader's head LSN
+HEARTBEAT_INTERVAL = 1.0
 
 #: per-connection transport write-buffer high water: stop pushing to a
 #: follower that stopped reading instead of buffering without bound
@@ -78,54 +80,61 @@ def _read_chunk(path: Path, offset: int, size: int) -> tuple[bytes, int]:
 
 
 class _RecordBuffer:
-    """Bounded in-memory WAL tail, keyed by LSN.
+    """Bounded in-memory WAL tail: a ring of the newest ``capacity`` LSNs.
 
     Record listeners fire per append under the engine write lock, in
-    LSN order; :meth:`run_from` still hands out only *contiguous* runs
-    (a fault detector: a follower is never pushed past a gap).
-    ``floor`` is the highest LSN the buffer no longer holds — a
-    subscriber whose cursor falls below it missed evicted records and
-    must resync from disk (or re-ship the generation).
+    LSN order, so the buffer holds one contiguous run ``(floor, last]``:
+    an append and the eviction it implies are O(1), and
+    :meth:`run_from` costs O(records returned).  ``floor`` is the
+    highest LSN the buffer no longer holds — a subscriber whose cursor
+    falls below it missed evicted records and must resync from disk
+    (or re-ship the generation).  Fault detector: an LSN that does not
+    continue the run drops the run and raises ``floor`` to just below
+    it, so no follower is ever pushed across a gap.  Never raises — the
+    listener runs after the engine already applied the write.
     """
 
     def __init__(self, floor: int, capacity: int) -> None:
         self.capacity = capacity
-        self.floor = floor
+        self.floor = self.last = floor
+        self._ring: list = [None] * capacity
         self._lock = threading.Lock()
-        self._records: dict[int, tuple[int, int, object]] = {}
 
     def add(self, lsn: int, op: int, shard: int, key) -> None:
         with self._lock:
-            if lsn <= self.floor:
-                return
-            self._records[lsn] = (op, shard, key)
-            while len(self._records) > self.capacity:
-                oldest = min(self._records)
-                del self._records[oldest]
-                if oldest > self.floor:
-                    self.floor = oldest
+            if lsn != self.last + 1:
+                self.floor = max(self.floor, lsn - 1)
+            self.last = lsn
+            self._ring[lsn % self.capacity] = (lsn, op, shard, key)
+            self.floor = max(self.floor, lsn - self.capacity)
+
+    def raise_floor(self, lsn: int) -> None:
+        """Forget everything at or below ``lsn``."""
+        with self._lock:
+            self.floor = max(self.floor, lsn)
+            self.last = max(self.last, self.floor)
 
     def run_from(self, after_lsn: int, upto_lsn: int,
                  limit: int) -> list[tuple[int, int, int, object]]:
-        """The contiguous run past ``after_lsn``, capped at ``limit``."""
-        out: list[tuple[int, int, int, object]] = []
+        """The contiguous run past ``after_lsn``, capped at ``limit``
+        (empty when ``after_lsn`` is below the floor)."""
         with self._lock:
-            lsn = after_lsn + 1
-            while lsn <= upto_lsn and len(out) < limit:
-                rec = self._records.get(lsn)
-                if rec is None:
-                    break
-                out.append((lsn, rec[0], rec[1], rec[2]))
-                lsn += 1
-        return out
+            stop = min(upto_lsn, self.last, after_lsn + limit)
+            if after_lsn < self.floor or stop <= after_lsn:
+                return []
+            first = (after_lsn + 1) % self.capacity
+            end = stop % self.capacity + 1
+            if first < end:
+                return self._ring[first:end]
+            return self._ring[first:] + self._ring[:end]
 
 
 class _Follower:
-    """Per-connection replication state (one subscribed follower)."""
+    """Per-connection replication state (one follower)."""
 
-    def __init__(self, fid: int, rec, writer: asyncio.StreamWriter) -> None:
-        self.fid = fid
-        self.rec = rec  # FollowerStats
+    def __init__(self, conn, writer: asyncio.StreamWriter) -> None:
+        self.conn = conn  # ConnectionStats
+        self.rec = conn.follower  # FollowerStats
         self.writer = writer
         self.streaming = False
         self.sent_lsn = 0
@@ -136,24 +145,14 @@ class _Follower:
 class SegmentShipper:
     """Serves pinned checkpoint generations in chunked segment fetches."""
 
-    def __init__(self, manager, *, chunk_bytes: int = 256 * 1024) -> None:
+    def __init__(self, manager) -> None:
         self.manager = manager
-        self.chunk_bytes = chunk_bytes
 
-    async def manifest(self, follower: _Follower) -> dict:
+    def manifest(self, follower: _Follower) -> dict:
         """Pin the published generation for ``follower`` and describe it."""
         self.release(follower)
-        token, manifest = self.manager.pin_current()
-        follower.pin_token = token
-        follower.manifest = manifest
-        loop = asyncio.get_running_loop()
-        sizes = await loop.run_in_executor(
-            None, self._sizes, list(manifest["segments"]))
-        return {"manifest": manifest, "sizes": sizes}
-
-    def _sizes(self, names: list[str]) -> dict[str, int]:
-        root = self.manager.root
-        return {name: (root / name).stat().st_size for name in names}
+        follower.pin_token, follower.manifest = self.manager.pin_current()
+        return {"manifest": follower.manifest}
 
     async def fetch(self, follower: _Follower, name, offset) -> dict:
         """One chunk of a pinned segment file: ``{data, eof, size}``.
@@ -175,7 +174,7 @@ class SegmentShipper:
         loop = asyncio.get_running_loop()
         data, total = await loop.run_in_executor(
             None, _read_chunk, self.manager.root / name, offset,
-            self.chunk_bytes)
+            CHUNK_BYTES)
         follower.rec.ship_bytes += len(data)
         return {"data": data, "eof": offset + len(data) >= total,
                 "size": total}
@@ -193,18 +192,15 @@ class WalStreamer:
 
     :meth:`subscribe` resolves a follower's cursor against the on-disk
     WAL (resume vs. resync) and pushes the backlog; :meth:`tick` —
-    driven by the server's flush loop — pushes whatever contiguous,
+    driven by the service's flush loop — pushes whatever contiguous,
     durable records accumulated in the in-memory buffer since.
     """
 
     def __init__(self, manager, *,
-                 buffer_records: int = 65536,
-                 batch_records: int = DEFAULT_BATCH_RECORDS,
                  max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.manager = manager
-        self.batch_records = batch_records
         self.max_frame = max_frame
-        self.buffer = _RecordBuffer(floor=0, capacity=buffer_records)
+        self.buffer = _RecordBuffer(floor=0, capacity=BUFFER_RECORDS)
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -214,20 +210,16 @@ class WalStreamer:
         """Start capturing records at the engine apply point."""
         if self._attached:
             return
-        self.manager.add_record_listener(self._on_record)
+        self.manager.add_record_listener(self.buffer.add)
         # records at or below the floor predate the tap; subscribers
         # needing them read the on-disk backlog at subscribe time
-        self.buffer.floor = max(self.buffer.floor, self.manager.last_lsn)
+        self.buffer.raise_floor(self.manager.last_lsn)
         self._attached = True
 
     def detach(self) -> None:
         if self._attached:
-            self.manager.remove_record_listener(self._on_record)
+            self.manager.remove_record_listener(self.buffer.add)
             self._attached = False
-
-    def _on_record(self, lsn: int, op: int, shard: int, key) -> None:
-        # fires under the engine write lock: just buffer it
-        self.buffer.add(lsn, op, shard, key)
 
     # ------------------------------------------------------------------
     # subscription
@@ -259,8 +251,8 @@ class WalStreamer:
         follower.rec.subscribed_from = from_lsn
         key_dtype = manager.wal.key_dtype
         sent = from_lsn
-        for start in range(0, len(records), self.batch_records):
-            chunk = records[start:start + self.batch_records]
+        for start in range(0, len(records), BATCH_RECORDS):
+            chunk = records[start:start + BATCH_RECORDS]
             self._push_frame(follower, _wal_frame(
                 [r.lsn for r in chunk], [r.op for r in chunk],
                 [r.shard for r in chunk], [r.key for r in chunk],
@@ -302,7 +294,7 @@ class WalStreamer:
         pushed = 0
         while True:
             run = self.buffer.run_from(
-                follower.sent_lsn, upto, self.batch_records)
+                follower.sent_lsn, upto, BATCH_RECORDS)
             if not run:
                 break
             self._push_frame(follower, _wal_frame(
@@ -319,6 +311,7 @@ class WalStreamer:
         data = encode_frame(payload, self.max_frame)
         follower.rec.stream_bytes += len(data)
         if not follower.writer.is_closing():
+            follower.conn.bytes_out += len(data)
             follower.writer.write(data)
 
 
@@ -333,106 +326,105 @@ def _wal_frame(lsns, ops, shards, keys, key_dtype: np.dtype) -> dict:
     }
 
 
-class ReplicationServer:
-    """TCP replication endpoint over one leader's durability manager.
+class ReplicationService:
+    """The ``repl_*`` ops of one durable :class:`~repro.net.server.NetServer`.
 
-    Wraps a :class:`~repro.engine.durability.DurabilityManager` (the
-    index keeps serving through whatever front end it already has) and
-    speaks the op table in the module docstring.  Follower health
-    lands in ``stats.followers`` (:class:`~repro.serve.stats.FollowerStats`)
-    — pass the serving tier's :class:`~repro.serve.stats.ServerStats`
-    to surface replication in its snapshot, or let it create its own.
+    Has no socket: the server's connection loop passes it each
+    ``repl_*`` request with that connection's stats record and writer
+    (:meth:`handle`), and calls :meth:`release` when the connection
+    ends.  A connection's first ``repl_*`` op makes it a follower — its
+    counters (:class:`~repro.serve.stats.FollowerStats`) live on its
+    connection record — and the first one overall starts the record
+    tap and the flush loop, which run until the last follower's
+    connection ends.
     """
 
-    def __init__(
-        self,
-        manager,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        stats: ServerStats | None = None,
-        max_frame: int = DEFAULT_MAX_FRAME,
-        flush_interval: float = 0.02,
-        heartbeat_interval: float = 1.0,
-        buffer_records: int = 65536,
-        chunk_bytes: int = 256 * 1024,
-    ) -> None:
+    def __init__(self, manager, stats: ServerStats, max_frame: int) -> None:
         self.manager = manager
-        self.host = host
-        self.port = port
-        self.stats = stats if stats is not None else ServerStats()
-        self.max_frame = max_frame
-        self.flush_interval = flush_interval
-        self.heartbeat_interval = heartbeat_interval
-        self.shipper = SegmentShipper(manager, chunk_bytes=chunk_bytes)
-        self.streamer = WalStreamer(
-            manager, buffer_records=buffer_records, max_frame=max_frame)
-        self._followers: dict[int, _Follower] = {}
-        self._server: asyncio.base_events.Server | None = None
+        self.stats = stats
+        self.shipper = SegmentShipper(manager)
+        self.streamer = WalStreamer(manager, max_frame=max_frame)
+        self._followers: dict[asyncio.StreamWriter, _Follower] = {}
         self._flusher: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> tuple[str, int]:
-        """Attach the WAL tap, bind, start the flush loop."""
-        self.streamer.attach()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        self._flusher = asyncio.create_task(self._flush_loop())
-        return self.host, self.port
+    async def handle(self, conn, writer, msg: dict) -> dict | None:
+        """Answer one ``repl_*`` request (``repl_ack`` gets no answer)."""
+        follower = self._followers.get(writer)
+        if follower is None:
+            if self._flusher is None:
+                self.streamer.attach()
+                self._flusher = asyncio.create_task(self._flush_loop())
+            self.stats.open_follower(conn)
+            follower = _Follower(conn, writer)
+            self._followers[writer] = follower
+        op = msg["op"]
+        rid = msg.get("id")
+        manager = self.manager
+        try:
+            if op == "repl_hello":
+                r: object = {
+                    "generation": manager.generation,
+                    "last_lsn": manager.last_lsn,
+                    "durable_lsn": manager.durable_lsn,
+                    "key_dtype": manager.wal.key_dtype.str,
+                    "keys": len(manager.index),
+                }
+            elif op == "repl_manifest":
+                r = self.shipper.manifest(follower)
+            elif op == "repl_fetch":
+                r = await self.shipper.fetch(
+                    follower, msg.get("name"), msg.get("offset"))
+            elif op == "repl_subscribe":
+                r = await self.streamer.subscribe(
+                    follower, int(msg.get("from_lsn", 0)))
+            elif op == "repl_ack":
+                acked = int(msg.get("lsn", 0))
+                follower.rec.acked_lsn = max(follower.rec.acked_lsn, acked)
+                follower.rec.lag_lsn = max(0, manager.last_lsn - acked)
+                follower.rec.lag_s = float(msg.get("lag_s", 0.0))
+                return None  # fire-and-forget: no response frame
+            else:  # repl_unpin
+                self.shipper.release(follower)
+                r = True
+        except Exception as exc:
+            return error_response(rid, exc)
+        return {"id": rid, "ok": True, "r": r}
 
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.host, self.port
+    def release(self, writer: asyncio.StreamWriter) -> None:
+        """Forget a closed connection's follower state and its pin; the
+        last follower to leave stops the flush loop and the tap."""
+        follower = self._followers.pop(writer, None)
+        if follower is None:
+            return
+        follower.streaming = False
+        self.shipper.release(follower)
+        if not self._followers and self._flusher is not None:
+            self._flusher.cancel()
+            self._flusher = None
+            self.streamer.detach()
 
     async def close(self) -> None:
-        """Stop the flusher, detach the tap, drop every follower."""
-        if self._flusher is not None:
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._flusher = None
+        """Stop the flush loop, detach the tap, release every pin."""
+        flusher, self._flusher = self._flusher, None
+        if flusher is not None:
+            flusher.cancel()
+            await asyncio.gather(flusher, return_exceptions=True)
         self.streamer.detach()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for follower in list(self._followers.values()):
-            follower.writer.close()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
-        self._followers.clear()
+        for writer in list(self._followers):
+            self.release(writer)
 
-    async def __aenter__(self) -> "ReplicationServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.close()
-
-    # ------------------------------------------------------------------
-    # flush loop
-    # ------------------------------------------------------------------
     async def _flush_loop(self) -> None:
         loop = asyncio.get_running_loop()
+        manager = self.manager
         last_hb = loop.time()
         while True:
-            await asyncio.sleep(self.flush_interval)
-            manager = self.manager
+            await asyncio.sleep(FLUSH_INTERVAL)
             if manager.needs_commit:
                 try:
                     await loop.run_in_executor(None, manager.commit)
                 except Exception:
                     continue  # manager closing mid-shutdown
-            hb_due = loop.time() - last_hb >= self.heartbeat_interval
+            hb_due = loop.time() - last_hb >= HEARTBEAT_INTERVAL
             for follower in list(self._followers.values()):
                 try:
                     self.streamer.tick(follower)
@@ -448,105 +440,9 @@ class ReplicationServer:
             if hb_due:
                 last_hb = loop.time()
 
-    # ------------------------------------------------------------------
-    # connection handling
-    # ------------------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        peer = writer.get_extra_info("peername")
-        fid, rec = self.stats.open_follower(str(peer))
-        follower = _Follower(fid, rec, writer)
-        self._followers[fid] = follower
-        self._conn_tasks.add(asyncio.current_task())
-        decoder = FrameDecoder(self.max_frame)
-        try:
-            while True:
-                data = await reader.read(1 << 16)
-                if not data:
-                    break
-                try:
-                    msgs = decoder.feed(data)
-                except ProtocolError as exc:
-                    self._reply(follower, {
-                        "id": None, "ok": False,
-                        "error": "ProtocolError", "message": str(exc),
-                    })
-                    break
-                for msg in msgs:
-                    await self._handle(follower, msg)
-                await writer.drain()
-        except asyncio.CancelledError:
-            pass
-        except (ConnectionResetError, BrokenPipeError, TimeoutError,
-                OSError):
-            pass
-        finally:
-            self._conn_tasks.discard(asyncio.current_task())
-            follower.streaming = False
-            self._followers.pop(fid, None)
-            self.shipper.release(follower)
-            self.stats.close_follower(fid)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except Exception:
-                pass
-
-    async def _handle(self, follower: _Follower, msg) -> None:
-        if not isinstance(msg, dict) or not isinstance(msg.get("op"), str):
-            self._reply(follower, {
-                "id": None, "ok": False, "error": "ProtocolError",
-                "message": "request must be a dict with a string 'op'",
-            })
-            return
-        op = msg["op"]
-        rid = msg.get("id")
-        manager = self.manager
-        try:
-            if op == "repl_hello":
-                r: object = {
-                    "generation": manager.generation,
-                    "last_lsn": manager.last_lsn,
-                    "durable_lsn": manager.durable_lsn,
-                    "key_dtype": manager.wal.key_dtype.str,
-                    "keys": len(manager.index),
-                }
-            elif op == "repl_manifest":
-                r = await self.shipper.manifest(follower)
-            elif op == "repl_fetch":
-                r = await self.shipper.fetch(
-                    follower, msg.get("name"), msg.get("offset"))
-            elif op == "repl_subscribe":
-                r = await self.streamer.subscribe(
-                    follower, int(msg.get("from_lsn", 0)))
-            elif op == "repl_ack":
-                acked = int(msg.get("lsn", 0))
-                follower.rec.acked_lsn = max(follower.rec.acked_lsn, acked)
-                follower.rec.lag_lsn = max(0, manager.last_lsn - acked)
-                follower.rec.lag_s = float(msg.get("lag_s", 0.0))
-                return  # fire-and-forget: no response frame
-            elif op == "repl_unpin":
-                self.shipper.release(follower)
-                r = True
-            else:
-                raise ValueError(f"unknown replication op {op!r}")
-        except Exception as exc:
-            self._reply(follower, error_response(rid, exc))
-            return
-        self._reply(follower, {"id": rid, "ok": True, "r": r})
-
-    def _reply(self, follower: _Follower, payload: dict) -> None:
-        try:
-            data = encode_frame(payload, self.max_frame)
-        except ProtocolError as exc:
-            data = encode_frame(
-                error_response(payload.get("id"), exc), self.max_frame)
-        if not follower.writer.is_closing():
-            follower.writer.write(data)
-
     def describe(self) -> dict:
-        """One-line health dict: address, followers, stream state."""
+        """One-line health dict: followers, stream state, LSNs."""
         return {
-            "address": list(self.address),
             "followers": len(self._followers),
             "streaming": sum(
                 1 for f in self._followers.values() if f.streaming),

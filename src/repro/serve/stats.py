@@ -11,13 +11,44 @@ renders the lot into one flat dict the CLI and benchmarks print.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 #: closed-connection records :class:`ServerStats` retains (open ones are
 #: always kept); bounds the ``stats`` wire frame under client churn
 MAX_CLOSED_CONNECTIONS = 1024
+
+
+@dataclass
+class FollowerStats:
+    """Per-follower counters the replication service maintains.
+
+    Lives on the :class:`ConnectionStats` of the connection that sent a
+    ``repl_*`` op, so it is kept and evicted with that record.
+    ``ship_bytes`` counts full-sync segment chunk payloads;
+    ``stream_bytes`` counts live WAL-batch payloads — the two counters
+    the acceptance test uses to prove a reconnect resumed incrementally
+    instead of re-shipping the generation.  ``lag_lsn``/``lag_s`` are
+    the follower's last self-reported staleness (piggybacked on its
+    acks).
+    """
+
+    subscribed_from: int = 0
+    acked_lsn: int = 0
+    lag_lsn: int = 0
+    lag_s: float = 0.0
+    streamed_records: int = 0
+    stream_bytes: int = 0
+    ship_bytes: int = 0
+    resyncs: int = 0
+
+    def to_dict(self) -> dict[str, object]:
+        return asdict(self)
+
+
+#: follower counters whose snapshot totals survive record eviction
+_FOLLOWER_TOTALS = ("ship_bytes", "stream_bytes", "resyncs")
 
 
 @dataclass
@@ -30,7 +61,8 @@ class ConnectionStats:
     folded into the roll-up totals.  ``errors``
     counts per-request failures answered with an error frame;
     ``protocol_errors`` counts framing violations, which also close
-    the connection.
+    the connection.  ``follower`` is set once the peer speaks
+    replication (:meth:`ServerStats.open_follower`).
     """
 
     peer: str = "?"
@@ -42,6 +74,7 @@ class ConnectionStats:
     bytes_in: int = 0
     bytes_out: int = 0
     open: bool = True
+    follower: FollowerStats | None = None
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -51,42 +84,6 @@ class ConnectionStats:
             "protocol_errors": self.protocol_errors,
             "bytes_in": self.bytes_in, "bytes_out": self.bytes_out,
             "open": self.open,
-        }
-
-
-@dataclass
-class FollowerStats:
-    """Per-follower counters the replication server maintains.
-
-    One record per subscribed replica (kept after disconnect, like
-    :class:`ConnectionStats`).  ``ship_bytes`` counts full-sync segment
-    chunk payloads; ``stream_bytes`` counts live WAL-batch payloads —
-    the two counters the acceptance test uses to prove a reconnect
-    resumed incrementally instead of re-shipping the generation.
-    ``lag_lsn``/``lag_s`` are the follower's last self-reported
-    staleness (piggybacked on its acks).
-    """
-
-    peer: str = "?"
-    subscribed_from: int = 0
-    acked_lsn: int = 0
-    lag_lsn: int = 0
-    lag_s: float = 0.0
-    streamed_records: int = 0
-    stream_bytes: int = 0
-    ship_bytes: int = 0
-    resyncs: int = 0
-    connected: bool = True
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "peer": self.peer, "subscribed_from": self.subscribed_from,
-            "acked_lsn": self.acked_lsn, "lag_lsn": self.lag_lsn,
-            "lag_s": self.lag_s,
-            "streamed_records": self.streamed_records,
-            "stream_bytes": self.stream_bytes,
-            "ship_bytes": self.ship_bytes, "resyncs": self.resyncs,
-            "connected": self.connected,
         }
 
 
@@ -116,10 +113,9 @@ class ServerStats:
         self.connections: dict[int, ConnectionStats] = {}
         self._closed_connections: deque = deque()
         self._evicted_protocol_errors = 0
-        #: per-follower counter map (replication tier)
-        self.followers: dict[int, FollowerStats] = {}
+        self._evicted_followers = dict.fromkeys(_FOLLOWER_TOTALS, 0)
         self._next_conn_id = 0
-        self._next_follower_id = 0
+        self._followers_opened = 0
 
     # ------------------------------------------------------------------
     # network front-end feeds
@@ -147,20 +143,16 @@ class ServerStats:
         if len(self._closed_connections) > MAX_CLOSED_CONNECTIONS:
             evicted = self.connections.pop(self._closed_connections.popleft())
             self._evicted_protocol_errors += evicted.protocol_errors
+            if evicted.follower is not None:
+                for name in _FOLLOWER_TOTALS:
+                    self._evicted_followers[name] += getattr(
+                        evicted.follower, name)
 
-    def open_follower(self, peer: str) -> tuple[int, FollowerStats]:
-        """Register a subscribed replica; returns (id, its counters)."""
-        fid = self._next_follower_id
-        self._next_follower_id += 1
-        rec = FollowerStats(peer=peer)
-        self.followers[fid] = rec
-        return fid, rec
-
-    def close_follower(self, fid: int) -> None:
-        """Mark a follower disconnected (its counters stay readable)."""
-        rec = self.followers.get(fid)
-        if rec is not None:
-            rec.connected = False
+    def open_follower(self, conn: ConnectionStats) -> FollowerStats:
+        """Mark ``conn`` a replication follower; returns its counters."""
+        self._followers_opened += 1
+        conn.follower = FollowerStats()
+        return conn.follower
 
     # ------------------------------------------------------------------
     # hot-path feeds
@@ -234,6 +226,21 @@ class ServerStats:
 
     def snapshot(self) -> dict[str, object]:
         """Flat metrics dict (what the CLI and benchmarks print)."""
+        protocol_errors = self._evicted_protocol_errors
+        totals = dict(self._evicted_followers)
+        connected = lag_lsn = 0
+        lag_s = 0.0
+        for c in self.connections.values():
+            protocol_errors += c.protocol_errors
+            f = c.follower
+            if f is None:
+                continue
+            for name in _FOLLOWER_TOTALS:
+                totals[name] += getattr(f, name)
+            if c.open:
+                connected += 1
+                lag_lsn = max(lag_lsn, f.lag_lsn)
+                lag_s = max(lag_s, f.lag_s)
         return {
             "served": self.served,
             "p50_us": self.latency_us(50),
@@ -256,32 +263,26 @@ class ServerStats:
             "connections": self._next_conn_id,
             "open_connections": (
                 len(self.connections) - len(self._closed_connections)),
-            "protocol_errors": self._evicted_protocol_errors + sum(
-                c.protocol_errors for c in self.connections.values()),
-            "followers": len(self.followers),
-            "connected_followers": sum(
-                1 for f in self.followers.values() if f.connected),
-            "max_follower_lag_lsn": max(
-                (f.lag_lsn for f in self.followers.values()
-                 if f.connected), default=0),
-            "max_follower_lag_s": max(
-                (f.lag_s for f in self.followers.values()
-                 if f.connected), default=0.0),
-            "ship_bytes": sum(
-                f.ship_bytes for f in self.followers.values()),
-            "stream_bytes": sum(
-                f.stream_bytes for f in self.followers.values()),
-            "follower_resyncs": sum(
-                f.resyncs for f in self.followers.values()),
+            "protocol_errors": protocol_errors,
+            "followers": self._followers_opened,
+            "connected_followers": connected,
+            "max_follower_lag_lsn": lag_lsn,
+            "max_follower_lag_s": lag_s,
+            "ship_bytes": totals["ship_bytes"],
+            "stream_bytes": totals["stream_bytes"],
+            "follower_resyncs": totals["resyncs"],
         }
 
     def net_snapshot(self) -> dict[str, object]:
-        """Per-connection and per-follower counter maps, keyed by id."""
+        """Per-connection and per-follower counter maps, keyed by
+        connection id."""
         return {
             "connections": {
                 cid: c.to_dict() for cid, c in self.connections.items()},
             "followers": {
-                fid: f.to_dict() for fid, f in self.followers.items()},
+                cid: dict(c.follower.to_dict(), peer=c.peer, connected=c.open)
+                for cid, c in self.connections.items()
+                if c.follower is not None},
         }
 
     def describe(self) -> str:  # pragma: no cover - formatting aid

@@ -56,6 +56,7 @@ VIOLATION_FIXTURES = [
     "engine/lock_violations.py",
     "engine/durability_violations.py",
     "serve/async_violations.py",
+    "net/async_violations.py",
     "replica/artifact_read_violations.py",
 ]
 CLEAN_FIXTURES = [

@@ -332,7 +332,7 @@ class TestInspectIsReadOnly:
         snap = tmp_path / "snap"
         repro.Index.build(make_keys(300), num_shards=2).save(snap)
         before = tree_bytes(snap)
-        for command in ("recover", "checkpoint", "replicate"):
+        for command in ("recover", "checkpoint"):
             with pytest.raises(SystemExit, match="is a snapshot"):
                 cli_main([command, str(snap)])
         assert tree_bytes(snap) == before

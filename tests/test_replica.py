@@ -36,17 +36,14 @@ from hypothesis import strategies as st
 
 import repro
 from repro.engine.durability import is_durable_dir, replay_directory
-from repro.replica import (
-    ReplicaError,
-    ReplicationServer,
-    follow,
-    is_replica_dir,
-)
-from repro.replica.follower import read_replica_state
+from repro.replica import ReplicaError, follow, is_replica_dir
+from repro.replica.follower import _LeaderClient, read_replica_state
+from repro.replica.leader import _RecordBuffer
 
 from helpers import tree_bytes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+LOCAL = ("127.0.0.1", 0)
 
 
 # ----------------------------------------------------------------------
@@ -144,12 +141,11 @@ class TestEndToEnd:
             thread = threading.Thread(target=writer)
             thread.start()
             try:
-                async with ReplicationServer(leader.index.durability) \
-                        as server:
+                async with leader.index.serve(addr=LOCAL) as net:
                     # the follower boots and streams WHILE the writer
                     # is mutating the leader
                     replica = await follow(
-                        server.address, tmp_path / "replica")
+                        net.address, tmp_path / "replica")
                     assert replica.full_syncs == 1
                     assert replica.bytes_synced > 0
                     mid_lag = replica.lag()
@@ -172,7 +168,7 @@ class TestEndToEnd:
                     assert d["bytes_streamed"] > 0
 
                     # replication health surfaced in the shared stats
-                    snap = server.stats.snapshot()
+                    snap = net.stats.snapshot()
                     assert snap["followers"] == 1
                     assert snap["connected_followers"] == 1
                     assert snap["ship_bytes"] == replica.bytes_synced
@@ -189,8 +185,8 @@ class TestEndToEnd:
         async def scenario():
             leader = Leader(tmp_path, n=3000)
             leader.write(600)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 await replica.close()
             oracle = leader.oracle_at(len(leader.ops))
@@ -217,15 +213,15 @@ class TestReconnect:
         async def scenario():
             leader = Leader(tmp_path, n=6000, keep_generations=2)
             leader.write(400)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 full_sync_bytes = replica.bytes_synced
                 assert full_sync_bytes > 0
                 await replica.close()
 
                 leader.write(300)
-                replica = await follow(server.address, tmp_path / "replica")
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 # incremental: nothing re-shipped, only the tail streamed
                 assert replica.full_syncs == 0
@@ -236,9 +232,9 @@ class TestReconnect:
                     replica.keys, leader.oracle_at(len(leader.ops)))
                 # the per-follower server counters agree: the second
                 # connection shipped zero segment bytes
-                recs = list(server.stats.followers.values())
-                assert recs[-1].ship_bytes == 0
-                assert recs[-1].stream_bytes > 0
+                per = net.stats.net_snapshot()["followers"]
+                assert per[max(per)]["ship_bytes"] == 0
+                assert per[max(per)]["stream_bytes"] > 0
                 await replica.close()
             leader.close()
 
@@ -248,8 +244,8 @@ class TestReconnect:
         async def scenario():
             leader = Leader(tmp_path, n=6000, keep_generations=0)
             leader.write(200)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 await replica.close()
 
@@ -258,7 +254,7 @@ class TestReconnect:
                 # WAL records the follower would need to resume
                 leader.write(300)
                 leader.index.checkpoint()
-                replica = await follow(server.address, tmp_path / "replica")
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 assert replica.resyncs + replica.full_syncs >= 1
                 assert replica.bytes_synced > 0  # the generation re-shipped
@@ -274,8 +270,8 @@ class TestReconnect:
         async def scenario():
             leader = Leader(tmp_path, n=6000, keep_generations=2)
             leader.write(200)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 await replica.close()
 
@@ -283,7 +279,7 @@ class TestReconnect:
                 # keeps the resume window open
                 leader.write(300)
                 leader.index.checkpoint()
-                replica = await follow(server.address, tmp_path / "replica")
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 assert replica.full_syncs == 0
                 assert replica.resyncs == 0
@@ -298,8 +294,8 @@ class TestReconnect:
     def test_checkpoint_rotation_while_follower_streams(self, tmp_path):
         async def scenario():
             leader = Leader(tmp_path, n=6000, keep_generations=2)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 for _ in range(3):
                     leader.write(150)
                     leader.index.checkpoint()  # rotates under the stream
@@ -317,8 +313,8 @@ class TestReconnect:
         async def scenario():
             leader = Leader(tmp_path, n=4000, keep_generations=2)
             leader.write(200)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 # yank the transport out from under the stream
                 replica._conn._writer.transport.abort()
@@ -351,9 +347,9 @@ class TestCrashCatchUpProperty:
 
         async def scenario():
             leader = Leader(tmp, n=1500, keep_generations=3)
-            async with ReplicationServer(leader.index.durability) as server:
+            async with leader.index.serve(addr=LOCAL) as net:
                 replica = await follow(
-                    server.address, tmp / "replica", reconnect=False)
+                    net.address, tmp / "replica", reconnect=False)
                 leader.write(300)
                 await replica.wait_for_lsn(min(cut, 300), timeout=60)
                 # crash: abort the transport mid-stream, then close
@@ -371,7 +367,7 @@ class TestCrashCatchUpProperty:
                     with open(lane, "rb+") as fh:
                         fh.truncate(max(0, size - torn))
 
-                replica = await follow(server.address, tmp / "replica")
+                replica = await follow(net.address, tmp / "replica")
                 await replica.wait_caught_up(timeout=60)
                 assert np.array_equal(
                     replica.keys, leader.oracle_at(len(leader.ops)))
@@ -389,7 +385,6 @@ import asyncio, sys
 from pathlib import Path
 import numpy as np
 import repro
-from repro.replica import ReplicationServer
 
 work = Path(sys.argv[1])
 nbase, seed = int(sys.argv[2]), int(sys.argv[3])
@@ -405,9 +400,8 @@ deletes = iter(base.tolist())
 intent = open(work / "intent.log", "w")
 
 async def main():
-    async with ReplicationServer(index.durability, flush_interval=0.005) \\
-            as server:
-        (work / "port").write_text(str(server.address[1]))
+    async with index.serve(addr=("127.0.0.1", 0)) as net:
+        (work / "port").write_text(str(net.address[1]))
         i = 0
         while True:
             if i % 4 == 3:
@@ -529,10 +523,10 @@ class TestHostileLeader:
             mgr.manifest = dict(
                 mgr.manifest, segments=[evil] + mgr.manifest["segments"][1:])
             try:
-                async with ReplicationServer(mgr) as server:
+                async with leader.index.serve(addr=LOCAL) as net:
                     with pytest.raises(ReplicaError,
                                        match="segment paths never leave"):
-                        await follow(server.address,
+                        await follow(net.address,
                                      tmp_path / "replicas" / "r1",
                                      reconnect=False)
             finally:
@@ -556,8 +550,8 @@ class TestObservability:
         async def scenario():
             leader = Leader(tmp_path, n=2000)
             leader.write(100)
-            async with ReplicationServer(leader.index.durability) as server:
-                replica = await follow(server.address, tmp_path / "replica")
+            async with leader.index.serve(addr=LOCAL) as net:
+                replica = await follow(net.address, tmp_path / "replica")
                 await replica.wait_caught_up(timeout=60)
                 await replica.close()
             leader.close()
@@ -579,30 +573,54 @@ class TestObservability:
         assert "applied_lsn" in out and "100" in out
         assert "promote" in out
 
-    def test_cli_replicate_and_follow_probes(self, tmp_path, capsys):
+    def test_cli_follow_probes_a_serve_load_leader(self, tmp_path, capsys):
+        """``serve --load <durable dir>`` is the leader; ``follow
+        --probe`` syncs from its serving port and catches up."""
         from repro.cli import main as cli_main
 
         leader = Leader(tmp_path, n=2000)
         leader.write(50)
         leader.close()
-
-        rc = cli_main(["replicate", str(tmp_path / "leader"),
-                       "--port", "0", "--probe"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "replicating" in out
-        assert "probe: follower synced" in out
+        log = tmp_path / "serve.log"
+        with open(log, "wb") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--load",
+                 str(tmp_path / "leader"), "--port", "0"],
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                stdout=out, stderr=subprocess.STDOUT)
+        try:
+            deadline = time.monotonic() + 120
+            while "Ctrl-C" not in log.read_text():
+                if proc.poll() is not None or time.monotonic() > deadline:
+                    pytest.fail("serve --load never came up: "
+                                + log.read_text())
+                time.sleep(0.01)
+            text = log.read_text()
+            assert "replicas: python -m repro follow" in text
+            port = text.split(" on 127.0.0.1:")[1].split()[0]
+            rc = cli_main(["follow", "127.0.0.1", port,
+                           str(tmp_path / "replica"), "--probe"])
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert f"following 127.0.0.1:{port}" in out
+            assert "1 full sync(s)" in out
+            assert "probe: caught up to LSN 50" in out
+        finally:
+            proc.terminate()
+            proc.wait()
+        state = read_replica_state(tmp_path / "replica")
+        assert state["applied_lsn"] == 50
+        promoted = repro.open(tmp_path / "replica")
+        assert np.array_equal(promoted.keys, leader.oracle_at(50))
+        promoted.close()
 
     def test_follower_stats_in_net_snapshot(self, tmp_path):
         async def scenario():
             leader = Leader(tmp_path, n=2000)
-            net = leader.index.serve(addr=("127.0.0.1", 0),
-                                     replicate_addr=("127.0.0.1", 0))
-            async with net:
-                assert net.replication_address is not None
+            async with leader.index.serve(addr=LOCAL) as net:
+                assert net.replication is not None
                 replica = await follow(
-                    net.replication_address, tmp_path / "replica",
-                    ack_interval=0.01)
+                    net.address, tmp_path / "replica", ack_interval=0.01)
                 leader.write(120)
                 await replica.wait_caught_up(timeout=60)
                 await asyncio.sleep(0.1)  # one more ack cycle
@@ -610,11 +628,15 @@ class TestObservability:
                 assert snap["followers"] == 1
                 assert snap["ship_bytes"] > 0
                 assert snap["stream_bytes"] > 0
-                per = net.stats.net_snapshot()["followers"]
+                net_snap = net.stats.net_snapshot()
+                per = net_snap["followers"]
                 assert len(per) == 1
-                rec = next(iter(per.values()))
+                cid, rec = next(iter(per.items()))
                 assert rec["connected"]
                 assert rec["acked_lsn"] > 0
+                # pushes count on the connection record like replies
+                assert net_snap["connections"][cid]["bytes_out"] \
+                    >= rec["ship_bytes"] + rec["stream_bytes"]
                 await replica.close()
             leader.close()
 
@@ -623,10 +645,224 @@ class TestObservability:
     def test_server_describe_and_follow_rejects_empty_leader(self, tmp_path):
         async def scenario():
             leader = Leader(tmp_path, n=2000)
-            async with ReplicationServer(leader.index.durability) as server:
-                d = server.describe()
+            async with leader.index.serve(addr=LOCAL) as net:
+                d = net.replication.describe()
                 assert d["followers"] == 0
                 assert d["generation"] >= 1
             leader.close()
 
         asyncio.run(scenario())
+
+
+# ----------------------------------------------------------------------
+# one wire: replication shares the serving port and connection loop
+# ----------------------------------------------------------------------
+async def pipelined_reads(client, oracle: np.ndarray, rounds: int,
+                          seed: int) -> int:
+    """``rounds`` x 64 pipelined lookups + 16 ranges, oracle-checked."""
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        qs = rng.integers(0, 1 << 42, 64).astype(np.uint64)
+        got = await asyncio.gather(*(client.lookup(q) for q in qs.tolist()))
+        assert got == np.searchsorted(oracle, qs, side="left").tolist()
+        lo = rng.integers(0, 1 << 41, 16).astype(np.uint64)
+        hi = lo + np.uint64(1 << 36)
+        got = await asyncio.gather(*(
+            client.range(a, b) for a, b in zip(lo.tolist(), hi.tolist())))
+        want = (np.searchsorted(oracle, hi, side="left")
+                - np.searchsorted(oracle, lo, side="left"))
+        assert got == want.tolist()
+    return rounds * 80
+
+
+class TestOnePort:
+    def test_reads_pipeline_while_a_follower_syncs_on_the_same_port(
+            self, tmp_path):
+        from repro.net import Client
+
+        async def scenario():
+            leader = Leader(tmp_path, n=6000)
+            leader.write(300)
+            async with leader.index.serve(addr=LOCAL) as net:
+                async with Client(*net.address, timeout=60) as client:
+                    oracle = leader.oracle_at(len(leader.ops))
+                    replica, reads = await asyncio.gather(
+                        follow(net.address, tmp_path / "replica"),
+                        pipelined_reads(client, oracle, 25, seed=1))
+                    assert replica.full_syncs == 1
+                    # live writes stream to the follower while the
+                    # reader keeps pipelining on its own connection
+                    leader.write(200)
+                    oracle = leader.oracle_at(len(leader.ops))
+                    head, more = await asyncio.gather(
+                        replica.wait_caught_up(timeout=60),
+                        pipelined_reads(client, oracle, 25, seed=2))
+                    assert head == len(leader.ops)
+                    assert np.array_equal(replica.keys, oracle)
+                    check_oracle_reads(replica, oracle, n_ops=2000)
+                    assert replica.streamed_records >= 200
+                    snap = net.stats.snapshot()
+                    assert snap["followers"] == 1
+                    assert snap["ship_bytes"] == replica.bytes_synced
+                    assert snap["stream_bytes"] > 0
+                    conns = net.stats.net_snapshot()["connections"]
+                    assert max(c["requests"] for c in conns.values()) \
+                        >= reads + more
+                    await replica.close()
+            leader.close()
+
+        asyncio.run(scenario())
+
+    def test_repl_op_on_a_snapshot_server_fails_only_itself(self, tmp_path):
+        keys = make_keys(3000)
+
+        async def scenario():
+            index = repro.Index.build(keys, num_shards=2)
+            async with index.serve(addr=LOCAL) as net:
+                assert net.replication is None
+                client = _LeaderClient(*net.address, timeout=30,
+                                       max_frame=1 << 24)
+                await client.connect()
+                with pytest.raises(ReplicaError, match="durable index"):
+                    await client.request({"op": "repl_hello"})
+                q = int(keys[1234])
+                assert await client.lookup(q) == 1234  # connection lives
+                await client.close()
+                with pytest.raises(ReplicaError, match="durable index"):
+                    await follow(net.address, tmp_path / "r",
+                                 reconnect=False)
+            index.close()
+
+        asyncio.run(scenario())
+
+    def test_uncontacted_durable_server_runs_no_tap_and_no_timer(
+            self, tmp_path):
+        from repro.net import Client
+
+        async def scenario():
+            leader = Leader(tmp_path, n=2000)  # durability="async"
+            mgr = leader.index.durability
+            async with leader.index.serve(addr=LOCAL) as net:
+                async with Client(*net.address) as client:
+                    await client.insert(int(fresh_keys(1, 9)[0]))
+                    assert await client.ping()
+                leader.write(20)
+                durable = mgr.durable_lsn
+                await asyncio.sleep(0.2)  # ten flush intervals
+                assert mgr._record_listeners == []
+                assert net.replication._flusher is None
+                assert mgr.durable_lsn == durable < mgr.last_lsn
+                # the first repl_* request starts both
+                client = _LeaderClient(*net.address, timeout=30,
+                                       max_frame=1 << 24)
+                await client.connect()
+                await client.request({"op": "repl_hello"})
+                assert len(mgr._record_listeners) == 1
+                assert net.replication._flusher is not None
+                deadline = time.monotonic() + 30
+                while mgr.durable_lsn < mgr.last_lsn:
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.01)
+                await client.close()
+                # the last follower leaving stops both again
+                while net.replication._flusher is not None:
+                    assert time.monotonic() < deadline
+                    await asyncio.sleep(0.01)
+                assert mgr._record_listeners == []
+                leader.write(20)
+                durable = mgr.durable_lsn
+                await asyncio.sleep(0.2)
+                assert mgr.durable_lsn == durable < mgr.last_lsn
+            assert mgr._record_listeners == []  # detached on close
+            leader.close()
+
+        asyncio.run(scenario())
+
+    def test_follower_records_are_bounded_and_totals_exact(self, tmp_path):
+        from repro.serve.stats import MAX_CLOSED_CONNECTIONS
+
+        cycles = MAX_CLOSED_CONNECTIONS + 76
+
+        async def settled(net) -> dict:
+            deadline = time.monotonic() + 30
+            while True:
+                snap = net.stats.snapshot()
+                if snap["connected_followers"] == 0:
+                    return snap
+                assert time.monotonic() < deadline, snap
+                await asyncio.sleep(0.01)
+
+        async def scenario():
+            leader = Leader(tmp_path, n=2000)
+            leader.write(40)
+            async with leader.index.serve(addr=LOCAL) as net:
+                for i in range(cycles):
+                    client = _LeaderClient(*net.address, timeout=30,
+                                           max_frame=1 << 24)
+                    await client.connect()
+                    await client.request({"op": "repl_hello"})
+                    if i < 3:  # early (soon evicted) followers do work
+                        r = await client.request({"op": "repl_manifest"})
+                        await client.request({
+                            "op": "repl_fetch", "offset": 0,
+                            "name": r["manifest"]["segments"][0]})
+                        r = await client.request(
+                            {"op": "repl_subscribe", "from_lsn": 0})
+                        assert r["mode"] == "stream"
+                        r = await client.request(
+                            {"op": "repl_subscribe", "from_lsn": 10**9})
+                        assert r["mode"] == "resync"
+                    await client.close()
+                    if i == 2:
+                        early = await settled(net)
+                        assert early["ship_bytes"] > 0
+                        assert early["stream_bytes"] > 0
+                        assert early["follower_resyncs"] == 3
+                snap = await settled(net)
+                assert snap["followers"] == cycles
+                for name in ("ship_bytes", "stream_bytes",
+                             "follower_resyncs"):
+                    assert snap[name] == early[name], name
+                per = net.stats.net_snapshot()["followers"]
+                assert len(per) == MAX_CLOSED_CONNECTIONS
+                assert 0 not in per and cycles - 1 in per
+            leader.close()
+
+        asyncio.run(scenario())
+
+
+def test_record_buffer_is_a_contiguous_ring():
+    buf = _RecordBuffer(floor=0, capacity=4)
+    for lsn in range(1, 4):
+        buf.add(lsn, 1, 0, lsn * 10)
+    assert buf.floor == 0
+    assert buf.run_from(0, 99, 99) == [(1, 1, 0, 10), (2, 1, 0, 20),
+                                       (3, 1, 0, 30)]
+    assert [r[0] for r in buf.run_from(1, 2, 99)] == [2]    # upto caps
+    assert [r[0] for r in buf.run_from(0, 99, 2)] == [1, 2]  # limit caps
+    assert buf.run_from(3, 99, 99) == []                    # caught up
+    # eviction: the floor follows the oldest held LSN; a cursor below
+    # it gets nothing (tick turns that into a resync)
+    for lsn in range(4, 9):
+        buf.add(lsn, 1, 0, lsn * 10)
+    assert buf.floor == 4
+    assert buf.run_from(3, 99, 99) == []
+    assert [r[0] for r in buf.run_from(4, 99, 99)] == [5, 6, 7, 8]  # wraps
+    assert [r[0] for r in buf.run_from(6, 99, 99)] == [7, 8]
+    # a gapped add drops the run and raises the floor below it: nobody
+    # is pushed across the gap, and nothing raises
+    buf.add(11, 2, 1, 110)
+    assert buf.floor == 10
+    assert buf.run_from(8, 99, 99) == []
+    assert buf.run_from(10, 99, 99) == [(11, 2, 1, 110)]
+    buf.add(12, 1, 0, 120)
+    assert [r[0] for r in buf.run_from(10, 99, 99)] == [11, 12]
+    # a replayed (non-increasing) LSN is a gap too; the floor never drops
+    buf.add(12, 1, 0, 121)
+    assert buf.floor == 11
+    assert buf.run_from(11, 99, 99) == [(12, 1, 0, 121)]
+    # a late-attached tap forgets everything at or below the head
+    buf.raise_floor(20)
+    assert buf.run_from(12, 99, 99) == [] and buf.run_from(20, 99, 99) == []
+    buf.add(21, 1, 0, 210)
+    assert buf.run_from(20, 99, 99) == [(21, 1, 0, 210)]
