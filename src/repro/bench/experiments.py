@@ -1,8 +1,9 @@
 """Experiment drivers: one function per paper table/figure (DESIGN.md §4).
 
-Each driver returns plain rows (lists/dicts) so the `benchmarks/` targets
-can print them and stash them in ``benchmark.extra_info``, and the
-examples can reuse them directly.
+Each driver returns plain rows (lists/dicts): :mod:`repro.bench.paper`
+renders them and checks the paper's claims against them
+(``python -m repro paper <artifact>``), and the examples can reuse them
+directly.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from ..search.exponential import exponential_lower_bound
 from ..search.linear import linear_around
 from .harness import Measurement, measure_index
 from .methods import TABLE2_METHODS, MethodNotAvailable, build_method
-from .workload import env_num_keys, env_num_queries, env_seed, uniform_over_keys
+from .workload import (
+    env_num_keys,
+    env_num_queries,
+    env_seed,
+    uniform_over_domain,
+    uniform_over_keys,
+)
 
 #: The eight datasets of Figure 9, in the paper's x-axis order.
 FIG9_DATASETS = (
@@ -315,6 +322,7 @@ def fig8_index_size(
                     "instructions": m.instructions_per_lookup,
                     "l1_misses": m.l1_misses_per_lookup,
                     "llc_misses": m.llc_misses_per_lookup,
+                    "correct": m.correct,
                 }
             )
 
@@ -401,6 +409,7 @@ def fig9_layer_size(
                     "ns": m.ns_per_lookup,
                     "avg_error": err,
                     "size_bytes": (layer.size_bytes() if layer else 0),
+                    "correct": m.correct,
                 }
             )
     return rows
@@ -457,12 +466,14 @@ def table1_compact_example() -> dict:
 # Ablations (DESIGN.md A1-A6)
 # ----------------------------------------------------------------------
 def ablation_cost_model(
-    datasets: tuple[str, ...] = ("face64", "osmc64", "uden64"),
+    datasets: tuple[str, ...] = ("face64", "osmc64", "uden64", "wiki64"),
     n: int | None = None,
+    num_queries: int | None = None,
     seed: int | None = None,
 ) -> list[dict]:
     """Eq. 9/10 predictions vs harness-measured latency (IM ± layer)."""
     n = n or env_num_keys()
+    num_queries = num_queries or env_num_queries()
     seed = env_seed() if seed is None else seed
     rows = []
     for ds_name in datasets:
@@ -470,7 +481,7 @@ def ablation_cost_model(
         machine = _machine_for(data)
         curve = measure_latency_curve(data.keys, machine,
                                       record_bytes=data.record_bytes, seed=seed)
-        queries = uniform_over_keys(data.keys, env_num_queries(), seed + 1)
+        queries = uniform_over_keys(data.keys, num_queries, seed + 1)
         model = InterpolationModel(data.keys)
         layer = ShiftTable.build(data.keys, model)
         with_m = measure_index(
@@ -500,14 +511,16 @@ def ablation_local_threshold(
     thresholds: tuple[int, ...] = (0, 2, 8, 32, 128),
     dataset: str = "face64",
     n: int | None = None,
+    num_queries: int | None = None,
     seed: int | None = None,
 ) -> list[dict]:
     """Sweep Algorithm 1's linear-to-binary threshold (paper uses 8)."""
     n = n or env_num_keys()
+    num_queries = num_queries or env_num_queries()
     seed = env_seed() if seed is None else seed
     data = _sorted_data(dataset, n, seed)
     machine = _machine_for(data)
-    queries = uniform_over_keys(data.keys, env_num_queries(), seed + 1)
+    queries = uniform_over_keys(data.keys, num_queries, seed + 1)
     model = InterpolationModel(data.keys)
     layer = ShiftTable.build(data.keys, model)
     rows = []
@@ -525,14 +538,16 @@ def ablation_sampling(
     fractions: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0),
     dataset: str = "osmc64",
     n: int | None = None,
+    num_queries: int | None = None,
     seed: int | None = None,
 ) -> list[dict]:
     """§3.4: build the S-mode layer from a sample; error and latency."""
     n = n or env_num_keys()
+    num_queries = num_queries or env_num_queries()
     seed = env_seed() if seed is None else seed
     data = _sorted_data(dataset, n, seed)
     machine = _machine_for(data)
-    queries = uniform_over_keys(data.keys, env_num_queries(), seed + 1)
+    queries = uniform_over_keys(data.keys, num_queries, seed + 1)
     model = InterpolationModel(data.keys)
     rows = []
     for frac in fractions:
@@ -558,6 +573,7 @@ def ablation_sampling(
 def ablation_monotonicity(
     dataset: str = "face64",
     n: int | None = None,
+    num_queries: int | None = None,
     seed: int | None = None,
 ) -> list[dict]:
     """§3.8: monotone (RS) vs non-monotone (RMI-cubic) models under R-mode."""
@@ -565,10 +581,11 @@ def ablation_monotonicity(
     from ..models.rmi import RMIModel
 
     n = n or env_num_keys()
+    num_queries = num_queries or env_num_queries()
     seed = env_seed() if seed is None else seed
     data = _sorted_data(dataset, n, seed)
     machine = _machine_for(data)
-    queries = uniform_over_keys(data.keys, env_num_queries(), seed + 1)
+    queries = uniform_over_keys(data.keys, num_queries, seed + 1)
     rows = []
     for model in (
         RadixSplineModel(data.keys, epsilon=32),
@@ -593,6 +610,7 @@ def ablation_monotonicity(
 def ablation_pgm(
     dataset: str = "face64",
     n: int | None = None,
+    num_queries: int | None = None,
     seed: int | None = None,
 ) -> list[dict]:
     """Extension: PGM vs RS vs RMI, bare and with a Shift-Table layer."""
@@ -601,10 +619,11 @@ def ablation_pgm(
     from ..models.rmi import RMIModel
 
     n = n or env_num_keys()
+    num_queries = num_queries or env_num_queries()
     seed = env_seed() if seed is None else seed
     data = _sorted_data(dataset, n, seed)
     machine = _machine_for(data)
-    queries = uniform_over_keys(data.keys, env_num_queries(), seed + 1)
+    queries = uniform_over_keys(data.keys, num_queries, seed + 1)
     rows = []
     for model in (
         PGMModel(data.keys, epsilon=64),
@@ -643,11 +662,7 @@ def ablation_updates(
     layer = ShiftTable.build(data.keys, model)
     base = CorrectedIndex(data, model, layer)
     index = UpdatableCorrectedIndex(base)
-    rng = np.random.default_rng(seed + 3)
-    lo, hi = int(data.keys.min()), int(data.keys.max())
-    inserts = (lo + (rng.random(num_inserts) * (hi - lo)).astype(np.uint64)).astype(
-        data.keys.dtype
-    )
+    inserts = uniform_over_domain(data.keys, num_inserts, seed + 3)
     t0 = time.perf_counter()
     for key in inserts:
         index.insert(key)
@@ -731,7 +746,8 @@ def ablation_query_skew(
     workloads = {
         "uniform-keys": uniform_over_keys(data.keys, num_queries, seed + 1),
         "zipf-keys": data.keys[zipf_ranks],
-        "uniform-domain": _domain_queries(data.keys, num_queries, seed + 2),
+        "uniform-domain": uniform_over_domain(data.keys, num_queries,
+                                              seed + 2),
     }
     rows = []
     for name, queries in workloads.items():
@@ -748,14 +764,6 @@ def ablation_query_skew(
             }
         )
     return rows
-
-
-def _domain_queries(keys: np.ndarray, num: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    lo, hi = int(keys.min()), int(keys.max())
-    return (lo + (rng.random(num) * max(hi - lo, 1)).astype(np.uint64)).astype(
-        keys.dtype
-    )
 
 
 def ablation_cache_model(

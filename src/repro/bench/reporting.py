@@ -1,8 +1,7 @@
 """Plain-text table/series formatting for benchmark output.
 
-Every bench prints the same rows the paper reports, via these helpers,
-and additionally stores them in ``benchmark.extra_info`` for machine
-consumption.
+``python -m repro paper`` and the standalone benchmark scripts print the
+rows the paper reports through these helpers.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Thin wrappers over the experiment drivers and diagnostics so the
-reproduction can be poked without writing Python:
+reproduction can be poked without writing Python (system throughput is
+measured by ``benchmarks/ladder/run.py``, not here):
 
 * ``version``      — library + on-disk format versions (also ``--version``)
 * ``build``        — build an index via the ``repro.Index`` facade,
-  optionally ``--save`` it as a snapshot directory or ``--durable-dir``
-  it into a WAL + checkpoint directory (one layout: ``MANIFEST.json`` +
-  ``segments/``; a durable directory's manifest also records a WAL
-  policy and it has a ``wal/``)
+  print the EXPLAIN of a sample batch, optionally ``--save`` it as a
+  snapshot directory or ``--durable-dir`` it into a WAL + checkpoint
+  directory (one layout: ``MANIFEST.json`` + ``segments/``; a durable
+  directory's manifest also records a WAL policy and it has a ``wal/``)
 * ``inspect``      — read-only report on a saved index directory of
   either kind, or on a replica directory; never writes to it
 * ``recover``      — crash-recover a durable directory (checkpoint +
@@ -18,16 +19,13 @@ reproduction can be poked without writing Python:
   a resume window for briefly-disconnected replicas)
 * ``follow``       — run a read replica of a leader (``serve --load``
   on a durable directory) into a local directory
-* ``table2``       — run Table 2 cells for chosen datasets/methods
-* ``fig``          — run one figure driver (2, 3, 6, 7, 9)
+* ``paper``        — reproduce one paper artifact (Table 1/2, Figs.
+  2/3/6–9, the ablations): print its table, check its claims, exit 1
+  naming the claim or the incorrect cell that failed
 * ``datasets``     — list datasets with their §2.4/§3.6 diagnostics
 * ``tune``         — run the §3.9 advisor on one dataset
 * ``explain``      — trace a single lookup through model + layer
-* ``engine-bench`` — scalar vs vectorized vs sharded batch throughput
-  (``--save``/``--load`` round it through persistence)
-* ``engine-plan``  — EXPLAIN a query batch against a sharded index
 * ``engine-update-bench`` — mixed read/write workload across backends
-* ``serve-bench``  — async serving: micro-batching + caching vs unbatched
 * ``serve``        — run the TCP serving front end (framed binary
   protocol; a durable ``--load`` also leads ``follow`` replicas)
 * ``autotune-bench`` — per-shard §3.9 auto-tuning vs fixed global configs
@@ -43,15 +41,14 @@ import time
 
 import numpy as np
 
-from .bench import experiments
 from .bench.reporting import format_table
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None,
                         help="keys per dataset (default is per-command: "
-                             "REPRO_SOSD_N/2M for table2 and figs, 100k-1M "
-                             "for the engine/serve benchmarks)")
+                             "REPRO_SOSD_N, else 2M, for paper; 100k-1M "
+                             "for the others)")
     parser.add_argument("--queries", type=int, default=None,
                         help="queries (or total ops) per cell; default is "
                              "per-command")
@@ -233,53 +230,19 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table2(args: argparse.Namespace) -> int:
-    from .bench.methods import TABLE2_METHODS
-    from .datasets.registry import TABLE2_DATASETS
+def _cmd_paper(args: argparse.Namespace) -> int:
+    from .bench.paper import ClaimFailed, run
 
-    datasets = tuple(args.datasets) if args.datasets else None
-    methods = tuple(args.methods) if args.methods else None
-    rows = experiments.table2(
-        datasets=datasets, methods=methods,
-        n=args.n, num_queries=args.queries, seed=args.seed,
-    )
-    cells: dict[str, dict[str, float]] = {}
-    for m in rows:
-        cells.setdefault(m.dataset, {})[m.method] = m.ns_per_lookup
-    cols = methods or TABLE2_METHODS
-    ds_order = [d for d in (datasets or TABLE2_DATASETS) if d in cells]
-    table = [[ds] + [cells[ds].get(c, float("nan")) for c in cols]
-             for ds in ds_order]
-    print(format_table(["dataset"] + list(cols), table,
-                       title="Table 2 (simulated ns per lookup)"))
-    bad = [m for m in rows if m.available and not m.correct]
-    if bad:
-        print(f"WARNING: {len(bad)} incorrect cells!", file=sys.stderr)
+    artifact, result, n = run(args.artifact, n=args.n,
+                              num_queries=args.queries, seed=args.seed)
+    print(artifact.render(result))
+    try:
+        artifact.claim(result, n)
+    except ClaimFailed as exc:
+        print(f"paper {args.artifact}: claim FAILED: {exc}")
         return 1
-    return 0
-
-
-_FIG_DRIVERS = {
-    "2": experiments.fig2_local_search,
-    "3": experiments.fig3_distributions,
-    "6": experiments.fig6_error_correction,
-    "7": experiments.fig7_build_times,
-    "9": experiments.fig9_layer_size,
-}
-
-
-def _cmd_fig(args: argparse.Namespace) -> int:
-    driver = _FIG_DRIVERS[args.number]
-    result = driver(n=args.n, seed=args.seed)
-    if isinstance(result, dict):
-        for key, value in result.items():
-            print(f"{key}: {value}")
-        return 0
-    if result and isinstance(result[0], dict):
-        headers = list(result[0].keys())
-        print(format_table(headers,
-                           [[r.get(h) for h in headers] for r in result],
-                           title=f"Figure {args.number}", float_digits=2))
+    print(f"paper {args.artifact}: claim holds: "
+          + " ".join(artifact.claim.__doc__.split()))
     return 0
 
 
@@ -381,56 +344,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                         help="thread-pool size for cross-shard execution")
 
 
-def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    from .bench.engine_throughput import (
-        run_engine_bench_json,
-        run_engine_throughput,
-    )
-
-    common = dict(
-        n=args.n or 1_000_000,
-        num_queries=args.queries or 100_000,
-        num_shards=args.shards,
-        dataset=args.dataset,
-        model=args.model,
-        layer=None if args.layer == "none" else args.layer,
-        seed=args.seed if args.seed is not None else 42,
-        workers=args.workers,
-        save_path=args.save,
-        load_path=args.load,
-    )
-    if args.json_path is not None:
-        payload = run_engine_bench_json(
-            args.json_path, kernels=args.kernels, **common
-        )
-        run_rows = [
-            (run["kernels"], run["results"])
-            for run in payload["runs"]
-            if run["available"]
-        ]
-    else:
-        run_rows = [(args.kernels,
-                     run_engine_throughput(kernels=args.kernels, **common))]
-    for kernels, rows in run_rows:
-        table = [
-            [r["mode"], r["kernels"], r["queries"], r["qps"],
-             r["ns_per_lookup"], r["p50_ns_per_lookup"],
-             r["p99_ns_per_lookup"], r["speedup_vs_scalar"]]
-            for r in rows
-        ]
-        print(format_table(
-            ["mode", "kernels", "queries", "qps", "ns/lookup", "p50 ns",
-             "p99 ns", "speedup vs scalar"],
-            table,
-            title=(f"engine throughput — {args.dataset} "
-                   f"[kernels={kernels}]"),
-            float_digits=1,
-        ))
-    if args.json_path is not None:
-        print(f"wrote {args.json_path}")
-    return 0
-
-
 def _cmd_engine_update_bench(args: argparse.Namespace) -> int:
     from .bench.engine_updates import (
         DEFAULT_WRITE_FRACTIONS,
@@ -464,52 +377,6 @@ def _cmd_engine_update_bench(args: argparse.Namespace) -> int:
          "read qps", "shards", "pending", "exact"],
         table, title=f"engine updates — {args.dataset}", float_digits=2,
     ))
-    return 0
-
-
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from .bench.serve_throughput import run_serve_bench
-
-    if args.smoke:
-        args.n = min(args.n or 40_000, 40_000)
-        args.clients = min(args.clients, 16)
-        args.requests_per_client = min(args.requests_per_client, 64)
-        args.rounds = min(args.rounds, 6)
-
-    rows = run_serve_bench(
-        n=args.n or 200_000,
-        dataset=args.dataset,
-        num_shards=args.shards,
-        model=args.model,
-        layer=None if args.layer == "none" else args.layer,
-        backend=args.backend,
-        clients=args.clients,
-        requests_per_client=args.requests_per_client,
-        max_batch=args.max_batch,
-        max_wait_us=args.max_wait_us,
-        rounds=args.rounds,
-        reads_per_round=args.reads_per_round,
-        writes_per_round=args.writes_per_round,
-        point_cache=args.point_cache,
-        range_cache=args.range_cache,
-        workers=args.workers,
-        seed=args.seed if args.seed is not None else 42,
-    )
-    table = [
-        [r["mode"], r["requests"], r["qps"], r["p50_us"], r["p99_us"],
-         r["mean_batch"], r["cache_hit_rate"], r["speedup_vs_unbatched"],
-         r["mismatches"]]
-        for r in rows
-    ]
-    print(format_table(
-        ["mode", "requests", "qps", "p50 us", "p99 us", "mean batch",
-         "hit rate", "speedup", "mismatches"],
-        table, title=f"serving throughput — {args.dataset}", float_digits=2,
-    ))
-    batched = next(r for r in rows if r["mode"] == "micro-batched")
-    print(f"micro-batching speedup vs unbatched closed loop: "
-          f"{batched['speedup_vs_unbatched']:.1f}x "
-          f"(every phase oracle-verified, zero mismatches)")
     return 0
 
 
@@ -626,28 +493,6 @@ def _cmd_autotune_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engine_plan(args: argparse.Namespace) -> int:
-    from .datasets import load
-    from .engine import BatchExecutor, ShardedIndex
-
-    n = args.n or 200_000
-    num_queries = args.queries or 1024
-    seed = args.seed if args.seed is not None else 42
-    keys = load(args.dataset, n, seed)
-    index = ShardedIndex.build(
-        keys, args.shards, model=args.model,
-        layer=None if args.layer == "none" else args.layer,
-        name=args.dataset, backend=args.backend,
-    )
-    executor = BatchExecutor(index, workers=args.workers)
-    rng = np.random.default_rng(seed)
-    queries = rng.choice(keys, num_queries)
-    info = index.build_info()
-    print(", ".join(f"{k}={v}" for k, v in info.items()))
-    print(executor.explain(queries))
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from .analysis import all_rules, lint_paths
 
@@ -697,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "build",
-        help="build an index through the repro.Index facade "
-             "(optionally --save it as a snapshot directory)",
+        help="build an index through the repro.Index facade, EXPLAIN "
+             "a sample batch (optionally --save it as a snapshot "
+             "directory)",
     )
     p.add_argument("--dataset", default="uden64",
                    help="dataset name (see `repro datasets`)")
@@ -781,19 +627,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "(smoke mode)")
     p.set_defaults(fn=_cmd_follow)
 
-    p = sub.add_parser("table2", help="run Table 2 cells")
-    p.add_argument("--datasets", nargs="*", default=None,
-                   help="dataset names to run (default: all)")
-    p.add_argument("--methods", nargs="*", default=None,
-                   help="method names to run (default: all)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_table2)
+    from .bench.paper import PAPER
 
-    p = sub.add_parser("fig", help="run a figure driver")
-    p.add_argument("number", choices=sorted(_FIG_DRIVERS),
-                   help="figure number to reproduce")
+    p = sub.add_parser(
+        "paper",
+        help="reproduce a paper table/figure and check its claims "
+             "(exit 1 names the failing claim or cell)",
+    )
+    p.add_argument("artifact", choices=list(PAPER),
+                   help="which artifact to reproduce")
     _add_common(p)
-    p.set_defaults(fn=_cmd_fig)
+    p.set_defaults(fn=_cmd_paper)
 
     p = sub.add_parser("datasets", help="dataset diagnostics")
     _add_common(p)
@@ -810,74 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="key to trace (default: a sampled existing key)")
     _add_common(p)
     p.set_defaults(fn=_cmd_explain)
-
-    p = sub.add_parser("engine-bench",
-                       help="batch-engine throughput: scalar vs vectorized vs sharded")
-    p.add_argument("--dataset", default="uden64",
-                   help="dataset name (see `repro datasets`)")
-    p.add_argument("--save", default=None, metavar="PATH",
-                   help="persist the sharded index after the verified run")
-    p.add_argument("--load", default=None, metavar="PATH",
-                   help="reopen a saved index as the sharded contender "
-                        "(ignores --dataset/--n/--shards)")
-    p.add_argument("--kernels", default="auto",
-                   choices=["auto", "numba", "numpy"],
-                   help="batch-pipeline backend (default auto: compiled "
-                        "kernels when numba is importable)")
-    p.add_argument("--json", default=None, metavar="PATH", dest="json_path",
-                   help="also write the results as a BENCH_engine.json "
-                        "artifact (sweeps both kernel backends under "
-                        "--kernels=auto)")
-    _add_engine_options(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_engine_bench)
-
-    p = sub.add_parser("engine-plan",
-                       help="EXPLAIN a query batch against a sharded index")
-    p.add_argument("--dataset", default="uden64",
-                   help="dataset name (see `repro datasets`)")
-    p.add_argument("--backend", default="static",
-                   choices=["static", "gapped", "fenwick"],
-                   help="shard storage backend")
-    _add_engine_options(p)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_engine_plan)
-
-    p = sub.add_parser(
-        "serve-bench",
-        help="async serving throughput: micro-batched + cached vs "
-             "one-request-at-a-time, oracle-verified",
-    )
-    p.add_argument("--dataset", default="uden64",
-                   help="dataset name (see `repro datasets`)")
-    p.add_argument("--backend", default="gapped",
-                   choices=["static", "gapped", "fenwick"],
-                   help="shard storage backend (default gapped: cheap writes)")
-    p.add_argument("--clients", type=int, default=64,
-                   help="concurrent closed-loop clients (default 64)")
-    p.add_argument("--requests-per-client", type=int, default=256,
-                   help="requests per client in the read phases")
-    p.add_argument("--max-batch", type=int, default=256,
-                   help="micro-batch size bound")
-    p.add_argument("--max-wait-us", type=float, default=200.0,
-                   help="micro-batch window in microseconds")
-    p.add_argument("--rounds", type=int, default=50,
-                   help="write+read rounds in the mixed phase")
-    p.add_argument("--reads-per-round", type=int, default=32,
-                   help="reads per client per mixed round")
-    p.add_argument("--writes-per-round", type=int, default=16,
-                   help="server-applied inserts+deletes per mixed round")
-    p.add_argument("--point-cache", type=int, default=65536,
-                   help="point-result LRU capacity (0 disables)")
-    p.add_argument("--range-cache", type=int, default=4096,
-                   help="range-result LRU capacity (0 disables)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny CI configuration (fast, still verified)")
-    _add_engine_options(p)
-    _add_common(p)
-    # serving batches are small (~clients per flush); on one core fewer
-    # shards means fewer fixed-cost pipeline passes per dispatch
-    p.set_defaults(fn=_cmd_serve_bench, shards=2)
 
     p = sub.add_parser(
         "serve",

@@ -3,8 +3,9 @@
 `plan()` is the engine's EXPLAIN — it routes a batch without executing
 it and reports, per touched shard, how many queries land there, which
 last-mile strategy the shard's model/layer combination implies, and the
-expected search-window size.  The CLI surfaces this via
-``python -m repro engine-plan``.
+expected search-window size.  The CLI surfaces this in
+``python -m repro build`` (and ``inspect``), which EXPLAINs a sample
+batch against the index it built (or opened).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ShardSlice:
     decision: str | None = None
 
     def describe(self) -> str:
-        """One aligned text row (the engine-plan CLI output format)."""
+        """One aligned text row (the EXPLAIN output format)."""
         window = (
             f", E[window]={self.expected_window:.1f}"
             if self.expected_window is not None

@@ -27,8 +27,8 @@ True
 ``REPRO_KERNELS=auto|numba|numpy`` seeds the mode at import time.
 Requesting ``numba`` without numba installed raises
 :class:`~repro.kernels.registry.KernelUnavailableError` from
-:func:`set_kernel_mode` (CLI ``--kernels=numba``) but only warns when it
-comes from the environment seed.
+:func:`set_kernel_mode` but only warns when it comes from the
+environment seed.
 """
 
 from __future__ import annotations
@@ -56,8 +56,6 @@ REGISTRY = KernelRegistry(numba_available=numba_available)
 
 #: (registry name, function name shared by all backend modules, summary)
 _KERNELS = (
-    ("search.bounded", "bounded_search",
-     "bounded lower bound per lane (pre-clipped windows)"),
     ("search.validated", "validated_search",
      "bounded search + §3.8 edge-validation fallback"),
     ("predict.interpolation", "predict_interpolation",

@@ -30,28 +30,8 @@ import numpy as np
 
 
 # ----------------------------------------------------------------------
-# bounded / validated batch search (the last mile)
+# validated batch search (the last mile)
 # ----------------------------------------------------------------------
-def bounded_search(data, queries, lo, hi, out):  # pragma: no cover - compiled
-    """Per-lane lower bound of ``queries[i]`` within ``[lo[i], hi[i])``.
-
-    ``lo``/``hi`` must already be clipped to ``[0, len(data)]`` (int64).
-    Empty windows answer ``lo[i]``, exactly like the numpy kernel.
-    """
-    for i in range(queries.shape[0]):
-        q = queries[i]
-        a = lo[i]
-        b = hi[i]
-        while a < b:
-            mid = (a + b) >> 1
-            if data[mid] < q:
-                a = mid + 1
-            else:
-                b = mid
-        out[i] = a
-    return out
-
-
 def validated_search(data, queries, starts, widths, out):  # pragma: no cover
     """Batch window search with §3.8 edge validation (exact results).
 
@@ -517,7 +497,6 @@ def fused_const_bounds_search(keys, queries, pred, e_lo, e_hi,
 #: Every kernel this module defines, in registration order (the numba
 #: backend compiles exactly this list; the registry introspects it).
 KERNEL_FUNCTIONS = (
-    bounded_search,
     validated_search,
     predict_interpolation,
     predict_affine,

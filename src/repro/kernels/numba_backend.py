@@ -23,7 +23,6 @@ from . import cpu
 
 _njit = numba.njit(cache=True, nogil=True)
 
-bounded_search = _njit(cpu.bounded_search)
 validated_search = _njit(cpu.validated_search)
 predict_interpolation = _njit(cpu.predict_interpolation)
 predict_affine = _njit(cpu.predict_affine)

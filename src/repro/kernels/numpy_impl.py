@@ -1,10 +1,10 @@
-"""Pure-numpy search kernels (the guaranteed fallback).
+"""Pure-numpy search kernel (the guaranteed fallback).
 
-Both functions mirror a :mod:`repro.kernels.cpu` search kernel with the
-*same signature* (preallocated int64 ``out``), so the registry can swap
-backends without callers caring which one is live, and the parity suite
-can run the interpreted per-lane kernels against these array passes
-input-for-input.
+:func:`validated_search` mirrors the :mod:`repro.kernels.cpu` search
+kernel with the *same signature* (preallocated int64 ``out``), so the
+registry can swap backends without callers caring which one is live,
+and the parity suite can run the interpreted per-lane kernel against
+these array passes input-for-input.
 
 These are the engine's original lane-parallel implementations (formerly
 in :mod:`repro.search.batch`): every numpy pass halves all still-open
@@ -40,12 +40,6 @@ def _lanes_lower_bound(data, queries, lo, hi):
         go_right = active & (data[probe] < queries)
         lo = np.where(go_right, mid + 1, lo)
         hi = np.where(active & ~go_right, mid, hi)
-
-
-def bounded_search(data, queries, lo, hi, out):
-    """Per-lane lower bound within ``[lo[i], hi[i])`` (pre-clipped)."""
-    out[:] = _lanes_lower_bound(data, queries, lo, hi)
-    return out
 
 
 def _validated(data, queries, lo, hi):

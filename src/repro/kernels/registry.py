@@ -97,7 +97,7 @@ class KernelRegistry:
     def set_mode(self, mode: str, strict: bool = True) -> str:
         """Switch the live backend; returns the effective mode.
 
-        ``strict=True`` (callers like ``--kernels=numba``) raises
+        ``strict=True`` (an explicit ``set_kernel_mode("numba")``) raises
         :class:`KernelUnavailableError` when numba is requested but not
         importable; ``strict=False`` (the import-time env seed) warns and
         degrades to the guaranteed fallback.
@@ -111,7 +111,7 @@ class KernelRegistry:
                 raise KernelUnavailableError(
                     "numba kernels requested but numba is not importable "
                     "in this environment; install numba or use "
-                    "--kernels=auto|numpy"
+                    "mode 'auto' or 'numpy'"
                 )
             warnings.warn(
                 "REPRO_KERNELS=numba but numba is not importable; "

@@ -5,7 +5,7 @@ and return *lower-bound* positions: the index of the first element that is
 ``>= q``, or ``len(data)`` when no such element exists.
 """
 
-from .batch import bounded_lower_bound_batch, validated_lower_bound_batch
+from .batch import validated_lower_bound_batch
 from .binary import lower_bound, lower_bound_batch
 from .exponential import exponential_lower_bound
 from .interpolation import interpolation_lower_bound
@@ -20,7 +20,6 @@ from .tip import tip_lower_bound
 __all__ = [
     "lower_bound",
     "lower_bound_batch",
-    "bounded_lower_bound_batch",
     "validated_lower_bound_batch",
     "exponential_lower_bound",
     "interpolation_lower_bound",

@@ -2,9 +2,9 @@
 
 The scalar query path (Algorithm 1) resolves one window at a time with
 :func:`~repro.search.local.bounded_local_search`.  The batch engine
-instead carries *arrays* of per-query windows; this module dispatches
-them to whichever search kernel backend is live in
-:data:`repro.kernels.REGISTRY`:
+instead carries *arrays* of per-query windows; the one batch entry,
+:func:`validated_lower_bound_batch`, dispatches them to whichever search
+kernel backend is live in :data:`repro.kernels.REGISTRY`:
 
 * the pure-numpy lane-parallel binary search (every numpy pass halves
   all still-open windows at once — ``O(log max_window)`` vectorised
@@ -13,11 +13,11 @@ them to whichever search kernel backend is live in
   ``nogil`` so executor threads overlap), when numba is importable and
   the kernel mode allows it.
 
-:func:`validated_lower_bound_batch` layers the §3.8 edge validation on
-top: lanes whose result is pinned to a window edge that does not
-actually bracket the query (non-monotone models, merged partitions,
-S-mode point estimates) are re-resolved exactly.  Both backends return
-element-wise identical answers to the scalar path.
+Both apply the §3.8 edge validation: lanes whose result is pinned to a
+window edge that does not actually bracket the query (non-monotone
+models, merged partitions, S-mode point estimates) are re-resolved
+exactly, so both backends return element-wise identical answers to the
+scalar path.
 
 Dtype contract: these are kernel boundaries, so query dtypes are
 **checked, not trusted** —
@@ -50,27 +50,6 @@ def _kernel(name: str, queries: np.ndarray, windows: np.ndarray):
     ):
         return entry.numpy_impl
     return impl
-
-
-def bounded_lower_bound_batch(
-    data: np.ndarray,
-    queries: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> np.ndarray:
-    """Per-lane lower bound of ``queries[i]`` within ``[lo[i], hi[i])``.
-
-    ``data`` must be sorted ascending; ``lo``/``hi`` must already be
-    clipped to ``[0, len(data)]``.  Returns ``hi[i]`` for lanes whose
-    window contains no element ``>= queries[i]`` (including empty
-    windows), exactly like the scalar ``lower_bound``.
-    """
-    queries = np.asarray(queries)
-    ensure_kernel_query_dtype(data, queries)
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    out = np.empty(lo.shape, dtype=np.int64)
-    return _kernel("search.bounded", queries, lo)(data, queries, lo, hi, out)
 
 
 def validated_lower_bound_batch(

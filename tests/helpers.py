@@ -1,10 +1,9 @@
 """Shared hypothesis strategies and query builders for the test suite.
 
 Lives in a plain module (not ``conftest.py``) so test files can import it
-explicitly.  ``benchmarks/conftest.py`` also exists in this repo, and a
-bare ``from conftest import ...`` resolves to whichever conftest pytest
-imported first — a collection-order landmine this module sidesteps.
-Fixtures stay in ``tests/conftest.py``.
+explicitly: a bare ``from conftest import ...`` resolves to whichever
+conftest pytest imported first, a collection-order landmine this module
+sidesteps.  Fixtures stay in ``tests/conftest.py``.
 """
 
 from __future__ import annotations

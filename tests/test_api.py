@@ -294,20 +294,6 @@ def test_cli_build_save_inspect(tmp_path, capsys):
     assert "source=loaded" in out and "backend=gapped" in out
 
 
-def test_cli_engine_bench_save_load_round_trip(tmp_path, capsys):
-    from repro.cli import main
-
-    path = tmp_path / "bench.npz"
-    assert main(["engine-bench", "--n", "20000", "--queries", "2000",
-                 "--shards", "2", "--save", str(path)]) == 0
-    capsys.readouterr()
-    assert path.exists()
-    assert main(["engine-bench", "--queries", "2000",
-                 "--load", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "sharded[K=2]" in out
-
-
 # ----------------------------------------------------------------------
 # dtype exactness at the top of the uint64 domain (regression: the
 # facade used to funnel queries through np.asarray, whose float64

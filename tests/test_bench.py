@@ -160,52 +160,3 @@ def test_speedup():
     assert speedup(200.0, 100.0) == 2.0
     assert math.isnan(speedup(float("nan"), 100.0))
     assert math.isnan(speedup(100.0, 0.0))
-
-
-# ----------------------------------------------------------------------
-# engine throughput artifact (BENCH_engine.json)
-# ----------------------------------------------------------------------
-def test_engine_bench_json_schema(tmp_path):
-    import json
-
-    from repro.bench.engine_throughput import run_engine_bench_json
-    from repro.kernels import REGISTRY
-
-    out = tmp_path / "BENCH_engine.json"
-    payload = run_engine_bench_json(
-        str(out), kernels="auto", n=8_000, num_queries=1_000,
-        num_shards=2, repeats=1, scalar_queries=200,
-    )
-    on_disk = json.loads(out.read_text())
-    assert on_disk == payload
-    assert payload["bench"] == "engine_throughput"
-    assert payload["numba_available"] == REGISTRY.numba_available
-    assert payload["config"]["n"] == 8_000
-    # auto sweeps both backends; an absent numba is recorded, not faked
-    modes = {run["kernels"] for run in payload["runs"]}
-    assert modes == {"numba", "numpy"}
-    for run in payload["runs"]:
-        if not run["available"]:
-            assert run["kernels"] == "numba"
-            assert not REGISTRY.numba_available
-            continue
-        assert {r["mode"] for r in run["results"]} == {
-            "scalar-loop", "vectorized", "sharded[K=2]"
-        }
-        for row in run["results"]:
-            assert row["kernels"] == run["kernels"]
-            assert row["qps"] > 0
-            assert row["p50_ns_per_lookup"] > 0
-            assert row["p99_ns_per_lookup"] >= row["p50_ns_per_lookup"]
-
-
-def test_engine_bench_restores_kernel_mode():
-    from repro.bench.engine_throughput import run_engine_throughput
-    from repro.kernels import REGISTRY
-
-    prev = REGISTRY.mode
-    run_engine_throughput(
-        n=4_000, num_queries=500, num_shards=2, repeats=1,
-        scalar_queries=100, kernels="numpy",
-    )
-    assert REGISTRY.mode == prev

@@ -1,65 +1,10 @@
-"""ASCII chart rendering and the extra ablation drivers."""
-
-import numpy as np
-import pytest
+"""The extra ablation drivers."""
 
 from repro.bench import experiments
-from repro.bench.figures import ascii_chart, series_from_rows
 
 SMALL = dict(n=8000, seed=23)
 
 
-# ----------------------------------------------------------------------
-# ascii charts
-# ----------------------------------------------------------------------
-def test_ascii_chart_renders_series():
-    chart = ascii_chart(
-        {"a": [(1, 10), (100, 1000)], "b": [(1, 1000), (100, 10)]},
-        width=32, height=8, title="T",
-    )
-    lines = chart.splitlines()
-    assert lines[0] == "T"
-    assert "o = a" in lines[-1] and "x = b" in lines[-1]
-    assert any("o" in line for line in lines[1:-1])
-
-
-def test_ascii_chart_log_axis_positions():
-    # on a log-x axis, 1 / 10 / 100 are equally spaced columns
-    chart = ascii_chart({"s": [(1, 5), (10, 5), (100, 5)]}, width=21, height=3)
-    row = next(line for line in chart.splitlines() if "o" in line)
-    cols = [i for i, c in enumerate(row) if c == "o"]
-    assert cols[1] - cols[0] == cols[2] - cols[1]
-
-
-def test_ascii_chart_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ascii_chart({})
-    with pytest.raises(ValueError):
-        ascii_chart({"a": [(0, 1)]})  # zero on a log axis
-
-
-def test_ascii_chart_linear_axes():
-    chart = ascii_chart(
-        {"a": [(0, 0), (10, 10)]}, width=16, height=4, log_x=False, log_y=False
-    )
-    assert "o" in chart
-
-
-def test_series_from_rows_groups_and_sorts():
-    rows = [
-        {"m": "x", "s": 10, "ns": 5.0},
-        {"m": "x", "s": 1, "ns": 9.0},
-        {"m": "y", "s": 2, "ns": 3.0},
-        {"m": "y", "s": 4, "ns": None},
-    ]
-    series = series_from_rows(rows, "m", "s", "ns")
-    assert series["x"] == [(1.0, 9.0), (10.0, 5.0)]
-    assert series["y"] == [(2.0, 3.0)]
-
-
-# ----------------------------------------------------------------------
-# extra ablation drivers
-# ----------------------------------------------------------------------
 def test_ablation_entry_width_tracks_model_accuracy():
     rows = experiments.ablation_entry_width(dataset="wiki64", **SMALL)
     by = {r["model"]: r for r in rows}

@@ -38,10 +38,7 @@ from repro.models.interpolation import InterpolationModel
 from repro.models.linear import LinearModel
 from repro.models.radix_spline import RadixSplineModel
 from repro.models.rmi import RMIModel
-from repro.search.batch import (
-    bounded_lower_bound_batch,
-    validated_lower_bound_batch,
-)
+from repro.search.batch import validated_lower_bound_batch
 
 from helpers import queries_for, sorted_uint_arrays
 
@@ -63,7 +60,7 @@ def scalar_oracle(index: CorrectedIndex, queries: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 def test_all_kernels_registered():
     names = REGISTRY.names()
-    assert len(names) == 13
+    assert len(names) == 12
     assert "search.validated" in names
     assert "fused.window_search" in names
     for row in describe_kernels():
@@ -127,8 +124,6 @@ def test_kernel_boundary_rejects_int64_queries_against_uint64_keys():
     lo = np.zeros(2, dtype=np.int64)
     hi = np.full(2, 16, dtype=np.int64)
     with pytest.raises(TypeError, match="promote"):
-        bounded_lower_bound_batch(data, queries, lo, hi)
-    with pytest.raises(TypeError, match="promote"):
         validated_lower_bound_batch(data, queries, lo, hi)
 
 
@@ -144,9 +139,9 @@ def test_kernel_boundary_rejects_float_queries_against_wide_keys():
 def test_kernel_boundary_allows_exact_combinations():
     # same-kind and narrow-key combinations cannot corrupt: no raise
     data64 = np.arange(16, dtype=np.uint64)
-    out = bounded_lower_bound_batch(
+    out = validated_lower_bound_batch(
         data64, np.array([3, 9], dtype=np.uint64),
-        np.zeros(2, np.int64), np.full(2, 16, np.int64),
+        np.zeros(2, np.int64), np.full(2, 15, np.int64),
     )
     assert out.tolist() == [3, 9]
     data32 = np.arange(16, dtype=np.int32)  # exact in float64: exempt
@@ -445,22 +440,23 @@ def test_validated_search_adversarial_fixed_windows(impls):
     seed=st.integers(0, 2**16),
 )
 def test_bounded_search_backends_agree(keys, seed):
+    """The one batch search (windowed + §3.8 validation) answers exactly
+    on both backends, whatever the windows — clipped, empty, misplaced."""
     rng = np.random.default_rng(seed)
     n = len(keys)
     queries = queries_for(keys, rng_seed=seed, count=16)
-    lo = rng.integers(0, n + 1, size=len(queries))
-    hi = np.minimum(lo + rng.integers(0, n + 1, size=len(queries)), n)
-    ref = bounded_lower_bound_batch(keys, queries, lo, hi)
+    starts = rng.integers(-2, n + 2, size=len(queries))
+    widths = rng.integers(0, n + 1, size=len(queries))
+    ref = validated_lower_bound_batch(keys, queries, starts, widths)
     for impls in (cpu, numpy_impl):
         out = np.empty(len(queries), dtype=np.int64)
-        impls.bounded_search(
-            keys, queries, lo.astype(np.int64), hi.astype(np.int64), out
+        impls.validated_search(
+            keys, queries, starts.astype(np.int64), widths.astype(np.int64),
+            out,
         )
         np.testing.assert_array_equal(out, ref)
-    # in-window lanes must equal searchsorted
     truth = np.searchsorted(keys, queries, side="left")
-    inside = (truth >= lo) & (truth <= hi)
-    np.testing.assert_array_equal(ref[inside], truth[inside])
+    np.testing.assert_array_equal(ref, truth)
 
 
 def test_empty_batch_and_empty_window_edges():
@@ -469,12 +465,13 @@ def test_empty_batch_and_empty_window_edges():
     assert validated_lower_bound_batch(
         keys, empty_q, np.empty(0, np.int64), np.empty(0, np.int64)
     ).size == 0
-    # a window entirely past the data answers n (no element >= q there)
-    out = bounded_lower_bound_batch(
+    # an empty window past the data fails its left-edge check, so the
+    # lane re-resolves to the exact lower bound
+    out = validated_lower_bound_batch(
         keys, np.array([3], dtype=np.uint64),
-        np.array([10], dtype=np.int64), np.array([10], dtype=np.int64),
+        np.array([10], dtype=np.int64), np.array([-1], dtype=np.int64),
     )
-    assert out.tolist() == [10]
+    assert out.tolist() == [3]
 
 
 # ----------------------------------------------------------------------

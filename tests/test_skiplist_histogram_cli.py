@@ -155,14 +155,27 @@ def test_build_hierarchy_both_modes():
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_table2(capsys):
-    rc = cli_main([
-        "table2", "--datasets", "uden32", "--methods", "BS", "IM",
-        "--n", "8000", "--queries", "64",
-    ])
+def test_cli_paper_fig8(capsys):
+    rc = cli_main(["paper", "fig8", "--n", "8000", "--queries", "64"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "uden32" in out and "BS" in out
+    assert "Figure 8 — face64" in out and "Figure 8 — osmc64" in out
+    assert "paper fig8: claim holds" in out
+
+
+def test_cli_paper_failing_claim_exits_1(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from repro.bench.paper import PAPER, ClaimFailed
+
+    def broken(result, n):
+        raise ClaimFailed("incorrect cell face64/RBS")
+
+    monkeypatch.setitem(PAPER, "fig6", replace(PAPER["fig6"], claim=broken))
+    assert cli_main(["paper", "fig6", "--n", "8000"]) == 1
+    out = capsys.readouterr().out
+    assert "Figure 6" in out  # the table still prints
+    assert "paper fig6: claim FAILED: incorrect cell face64/RBS" in out
 
 
 def test_cli_datasets(capsys):
@@ -190,15 +203,3 @@ def test_cli_serve_probe(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "serving uden64" in out and "probe: lookup" in out
-
-
-def test_cli_fig3(capsys):
-    rc = cli_main(["fig", "3", "--n", "8000"])
-    assert rc == 0
-    assert "local_linearity" in capsys.readouterr().out
-
-
-def test_cli_fig6(capsys):
-    rc = cli_main(["fig", "6", "--n", "8000"])
-    assert rc == 0
-    assert "reduction_factor" in capsys.readouterr().out
