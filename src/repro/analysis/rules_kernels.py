@@ -1,22 +1,17 @@
-"""RPR5xx — compiled-kernel hygiene for the batch pipeline.
+"""RPR5xx — lane-loop hygiene for the batch pipeline.
 
-PR 8 moved the per-lane predict→correct→search loops into
-:mod:`repro.kernels`, where each loop is registered in the
-:class:`~repro.kernels.registry.KernelRegistry` with a numpy fallback and
-(when numba is importable) a compiled binding.  A per-element Python loop
-over query or key arrays anywhere *else* in the hot path is either a
-performance bug (it silently reverts a lane-parallel pass to interpreter
-speed) or a reference path that must say so.
+The batch pipeline runs as numpy array passes end to end
+(``model.predict_pos_batch`` → ``layer.window_batch``/``correct_batch``
+→ the lane-parallel validated search in :mod:`repro.search.batch`).  A
+per-element Python loop over query or key arrays anywhere in the hot
+path is either a performance bug (it silently reverts a lane-parallel
+pass to interpreter speed) or a reference path that must say so.
 
 - ``RPR501``: a ``for`` loop or comprehension iterating over query/key
-  arrays outside ``repro/kernels/``.  Kernel-eligible loops belong in
-  :mod:`repro.kernels.cpu` (registered, compiled, parity-tested); the
-  sanctioned exceptions — scalar reference paths, tracing, adapters over
-  arbitrary Python callables — carry a reasoned
-  ``# repro: noqa[RPR501]``.
-
-``repro/kernels/`` itself is out of scope by construction: loops there
-ARE the registry entries.
+  arrays.  Lane work belongs in array passes — the search itself in
+  :func:`repro.search.batch.validated_search`; the sanctioned
+  exceptions — scalar reference paths, tracing, adapters over arbitrary
+  Python callables — carry a reasoned ``# repro: noqa[RPR501]``.
 """
 
 from __future__ import annotations
@@ -70,12 +65,12 @@ def _is_lane_source(node: ast.AST) -> bool:
 
 @register
 class UnregisteredLaneLoop(Rule):
-    """Per-element Python loop over query/key arrays outside kernels/."""
+    """Per-element Python loop over query/key arrays in the hot path."""
 
     code = "RPR501"
     name = "unregistered-lane-loop"
-    summary = ("per-element Python loop over query/key arrays outside "
-               "repro/kernels/; move it into a registered kernel or mark "
+    summary = ("per-element Python loop over query/key arrays; move it "
+               "into the numpy lane search in repro/search/batch.py or mark "
                "the reference path with a reasoned noqa")
     scope_dirs = ("core", "models", "search", "engine")
 
@@ -94,8 +89,8 @@ class UnregisteredLaneLoop(Rule):
                 continue
             findings.append(self.finding(
                 ctx, node,
-                "per-element Python loop over query/key arrays; "
-                "kernel-eligible loops belong in repro/kernels (registered "
-                "+ compiled + parity-tested) — or justify the reference "
+                "per-element Python loop over query/key arrays; lane "
+                "loops belong in array passes like the numpy lane search "
+                "in repro/search/batch.py — or justify the reference "
                 "path with a reasoned noqa"))
         return findings

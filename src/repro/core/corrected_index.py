@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..hardware.tracker import NULL_TRACKER, NullTracker
-from ..kernels import dispatch as kernel_dispatch
 from ..models.base import CDFModel, predicted_index, predicted_index_batch
 from ..models.rmi import RMIModel
 from ..search.batch import validated_lower_bound_batch
@@ -211,13 +210,6 @@ class CorrectedIndex:
     def _lookup_batch_pipeline(
         self, keys: np.ndarray, n: int, queries: np.ndarray
     ) -> np.ndarray:
-        # compiled fast path: when the numba backend is live and this
-        # model/layer pair has a kernel plan, the whole chunk runs as two
-        # fused per-lane passes (element-wise identical by the parity
-        # suite); ``None`` keeps the numpy composition below
-        fused = kernel_dispatch.fused_lookup_batch(self, keys, n, queries)
-        if fused is not None:
-            return fused
         pred = self.model.predict_pos_batch(queries)
 
         if isinstance(self.layer, ShiftTable):

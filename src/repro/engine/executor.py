@@ -59,8 +59,7 @@ class BatchExecutor:
         self.workers = int(workers) if workers else 1
         #: optional :class:`~repro.hardware.tracker.SimTracker`: when
         #: installed, point lookups charge the canonical per-query probe
-        #: sequence (Algorithm 1) through it — the same sequence the
-        #: compiled per-lane kernels execute — so scalar and batch
+        #: sequence (Algorithm 1) through it, so scalar and batch
         #: execution charge identical probe counts by construction
         self.tracker = tracker
         self._pool: ThreadPoolExecutor | None = None

@@ -103,20 +103,6 @@ class CDFModel(ABC):
     def size_bytes(self) -> int:
         """Total footprint of the model's parameters."""
 
-    def kernel_spec(self) -> dict | None:
-        """Parameters for the compiled predict kernel of this family.
-
-        ``None`` (the default) means "no compiled kernel": the batch
-        pipeline keeps the numpy ``predict_pos_batch`` composition.  A
-        family that opts in returns a dict with at least ``"family"``
-        (a :mod:`repro.kernels.dispatch` family name) plus the scalar/
-        array parameters its predict kernel consumes.  The spec must
-        describe *exactly* the arithmetic of ``predict_pos_batch`` —
-        kernel results are required to be bit-identical to the numpy
-        path.
-        """
-        return None
-
     # ------------------------------------------------------------------
     # derived helpers
     # ------------------------------------------------------------------
@@ -164,7 +150,7 @@ class FunctionModel(CDFModel):
 
     def predict_pos_batch(self, keys: np.ndarray) -> np.ndarray:
         return np.asarray(
-            [float(self._fn(k)) for k in np.asarray(keys)], dtype=np.float64  # repro: noqa[RPR501] — adapter over an arbitrary Python callable; nothing to compile
+            [float(self._fn(k)) for k in np.asarray(keys)], dtype=np.float64  # repro: noqa[RPR501] — adapter over an arbitrary Python callable; nothing to vectorise
         )
 
     def size_bytes(self) -> int:

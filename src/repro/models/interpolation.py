@@ -43,7 +43,3 @@ class InterpolationModel(CDFModel):
 
     def size_bytes(self) -> int:
         return 16  # min and scale, two doubles — lives in registers
-
-    def kernel_spec(self) -> dict:
-        return {"family": "interpolation", "kmin": self._min,
-                "scale": self._scale}

@@ -49,7 +49,3 @@ class LinearModel(CDFModel):
 
     def size_bytes(self) -> int:
         return 16
-
-    def kernel_spec(self) -> dict:
-        return {"family": "affine", "slope": self.slope,
-                "intercept": self.intercept}

@@ -254,15 +254,3 @@ class RadixSplineModel(CDFModel):
             len(self._table) * _RADIX_ENTRY_BYTES
             + self.num_spline_points * _POINT_BYTES
         )
-
-    def kernel_spec(self) -> dict | None:
-        if self.num_spline_points < 2:
-            # degenerate single-knot spline: predict_pos_batch's special
-            # case is cheaper than any kernel
-            return None
-        return {
-            "family": "radix_spline",
-            "sp_keys": self._sp_keys,
-            "sp_pos": self._sp_pos,
-            "error_bounds": self.error_bounds(),
-        }

@@ -224,19 +224,3 @@ class RMIModel(CDFModel):
     def size_bytes(self) -> int:
         root = 32
         return root + self.num_leaves * _LEAF_ENTRY_BYTES
-
-    def kernel_spec(self) -> dict:
-        spec = {
-            "family": "rmi",
-            "root": self.root_kind,
-            "params": self._root_params,
-            "slopes": self._slopes,
-            "intercepts": self._intercepts,
-            "num_leaves": self.num_leaves,
-            "err_lo": self._err_lo,
-            "err_hi": self._err_hi,
-        }
-        if self.root_kind == "cubic":
-            spec["kmin"] = self._min
-            spec["span"] = self._span
-        return spec

@@ -1,11 +1,11 @@
-"""Compiled-kernel registry, dispatch, dtype-guard and parity suite (PR 8).
+"""Batch-pipeline dtype-guard and parity suite.
 
-The compiled path's contract is *bit-identity*: for every model family ×
-correction layer × backend, the numba kernels (run here interpreted via
-their uncompiled python source when numba is absent), the numpy fallback
-mirrors and the scalar Algorithm-1 loop must return element-wise
-identical positions — including the §3.8 edge-validation fallbacks on
-adversarial windows.
+The batch pipeline's contract is *bit-identity*: for every model family
+× correction layer, the numpy pipeline (``predict_pos_batch`` →
+``window_batch``/``correct_batch`` → the lane-parallel validated search)
+and the scalar Algorithm-1 loop must return element-wise identical
+positions — including the §3.8 edge-validation fallbacks on adversarial
+windows, where ``np.searchsorted`` is the oracle.
 """
 
 import numpy as np
@@ -15,104 +15,26 @@ from hypothesis import strategies as st
 
 from repro.core.compact import CompactShiftTable
 from repro.core.corrected_index import CorrectedIndex
-from repro.core.records import SortedData, ensure_kernel_query_dtype
+from repro.core.records import SortedData
 from repro.core.shift_table import ShiftTable
 from repro.engine import BatchExecutor
 from repro.engine.sharded import ShardedIndex
 from repro.hardware.hierarchy import MemoryHierarchy
 from repro.hardware.machine import MachineSpec
 from repro.hardware.tracker import SimTracker
-from repro.kernels import (
-    KERNEL_MODES,
-    REGISTRY,
-    KernelRegistry,
-    KernelUnavailableError,
-    cpu,
-    describe_kernels,
-    dispatch,
-    numpy_impl,
-    set_kernel_mode,
-)
-from repro.models.base import FunctionModel
+from repro.kernels import REGISTRY, numba_available
 from repro.models.interpolation import InterpolationModel
 from repro.models.linear import LinearModel
 from repro.models.radix_spline import RadixSplineModel
 from repro.models.rmi import RMIModel
-from repro.search.batch import validated_lower_bound_batch
+from repro.search.batch import validated_lower_bound_batch, validated_search
 
 from helpers import queries_for, sorted_uint_arrays
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_mode():
-    prev = REGISTRY.mode
-    yield
-    set_kernel_mode(prev, strict=False)
 
 
 def scalar_oracle(index: CorrectedIndex, queries: np.ndarray) -> np.ndarray:
     """The per-query Algorithm-1 loop — the parity ground truth."""
     return np.asarray([index.lookup(q) for q in queries], dtype=np.int64)
-
-
-# ----------------------------------------------------------------------
-# registry semantics
-# ----------------------------------------------------------------------
-def test_all_kernels_registered():
-    names = REGISTRY.names()
-    assert len(names) == 12
-    assert "search.validated" in names
-    assert "fused.window_search" in names
-    for row in describe_kernels():
-        assert row["live"] in ("numba", "numpy")
-        assert row["has_numba"] == REGISTRY.numba_available
-
-
-def test_mode_switching_and_effective_mode():
-    assert set_kernel_mode("numpy") == "numpy"
-    assert REGISTRY.mode == "numpy"
-    assert set_kernel_mode("auto") == (
-        "numba" if REGISTRY.numba_available else "numpy"
-    )
-    with pytest.raises(ValueError):
-        set_kernel_mode("fortran")
-
-
-def test_strict_numba_request_raises_without_numba():
-    if REGISTRY.numba_available:
-        pytest.skip("numba importable: strict request succeeds")
-    with pytest.raises(KernelUnavailableError):
-        set_kernel_mode("numba", strict=True)
-    # non-strict degrades with a warning and lands on the fallback
-    with pytest.warns(RuntimeWarning):
-        assert set_kernel_mode("numba", strict=False) == "numpy"
-
-
-def test_duplicate_registration_rejected():
-    reg = KernelRegistry(numba_available=False)
-    reg.register("k", numpy_impl=lambda: None)
-    with pytest.raises(ValueError):
-        reg.register("k", numpy_impl=lambda: None)
-
-
-def test_registry_to_dict_is_json_ready():
-    import json
-
-    d = REGISTRY.to_dict()
-    assert d["mode"] in KERNEL_MODES
-    assert json.loads(json.dumps(d)) == d
-
-
-def test_every_entry_has_python_source_twin():
-    # the parity suite runs the numba kernels interpreted; every entry
-    # must carry its uncompiled source
-    for name in REGISTRY.names():
-        entry = REGISTRY.entry(name)
-        assert entry.python_impl is not None
-        assert entry.numpy_impl is not entry.python_impl
-        # only the search kernels have a numpy side; the numpy pipeline
-        # runs predict/correct on the model and layer objects
-        assert (entry.numpy_impl is not None) == name.startswith("search.")
 
 
 # ----------------------------------------------------------------------
@@ -169,10 +91,8 @@ def test_regression_uint64_above_2_53_with_negative_int64_queries():
     expected = np.concatenate([
         np.zeros(3, dtype=np.int64), np.arange(65, dtype=np.int64)
     ])
-    for mode in ("numpy", "auto"):
-        set_kernel_mode(mode, strict=False)
-        got = index.lookup_batch_vectorized(queries)
-        np.testing.assert_array_equal(got, expected)
+    got = index.lookup_batch_vectorized(queries)
+    np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(scalar_oracle(index, queries), expected)
 
 
@@ -241,7 +161,7 @@ def test_untraced_executor_charges_nothing():
 
 
 # ----------------------------------------------------------------------
-# dispatch plans
+# oracle parity: the numpy pipeline vs the scalar Algorithm-1 loop
 # ----------------------------------------------------------------------
 def _make_index(keys, model_name, layer_name):
     builders = {
@@ -274,60 +194,6 @@ MODEL_NAMES = ("IM", "linear", "rmi-linear", "rmi-cubic", "rmi-radix", "rs")
 LAYER_NAMES = ("none", "R", "R-coarse", "S")
 
 
-def test_build_plan_families_and_search_kinds():
-    keys = np.arange(0, 3000, 3, dtype=np.uint64)
-    n = len(keys)
-    expect_kind = {"none": None, "R": "window", "R-coarse": "window",
-                   "S": "point"}
-    for model_name in MODEL_NAMES:
-        for layer_name in LAYER_NAMES:
-            index = _make_index(keys, model_name, layer_name)
-            plan = dispatch.build_plan(index.model, index.layer, n)
-            if layer_name == "none":
-                if model_name.startswith("rmi"):
-                    assert plan.search_kind == "leaf_bounds"
-                elif model_name == "rs":
-                    assert plan.search_kind == "const_bounds"
-                else:  # boundless bare model: searchsorted is optimal
-                    assert plan is None
-            else:
-                assert plan.search_kind == expect_kind[layer_name]
-
-
-def test_plan_unsupported_configurations_return_none():
-    keys = np.arange(64, dtype=np.uint64)
-    fn_model = FunctionModel(lambda k: float(k), len(keys))
-    assert dispatch.build_plan(fn_model, None, len(keys)) is None
-    # degenerate one-knot spline opts out via kernel_spec() -> None
-    const_keys = np.full(8, 42, dtype=np.uint64)
-    rs = RadixSplineModel(const_keys, epsilon=4, radix_bits=8)
-    if rs.num_spline_points < 2:
-        assert rs.kernel_spec() is None
-
-
-def test_plan_cache_invalidates_on_model_swap():
-    keys = np.arange(256, dtype=np.uint64)
-    index = _make_index(keys, "IM", "R")
-    plan1 = dispatch.plan_for(index)
-    assert dispatch.plan_for(index) is plan1  # cached by identity
-    index.model = LinearModel(keys)
-    plan2 = dispatch.plan_for(index)
-    assert plan2 is not plan1
-    assert plan2.family == "affine"
-
-
-def test_fused_dispatch_declines_in_numpy_mode():
-    keys = np.arange(256, dtype=np.uint64)
-    index = _make_index(keys, "IM", "R")
-    set_kernel_mode("numpy")
-    assert dispatch.fused_lookup_batch(
-        index, keys, len(keys), np.array([5], dtype=np.uint64)
-    ) is None
-
-
-# ----------------------------------------------------------------------
-# oracle parity: kernels vs numpy vs the scalar Algorithm-1 loop
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("model_name", MODEL_NAMES)
 @pytest.mark.parametrize("layer_name", LAYER_NAMES)
 def test_kernel_parity_fixed_dataset(model_name, layer_name):
@@ -340,16 +206,9 @@ def test_kernel_parity_fixed_dataset(model_name, layer_name):
     )
     index = _make_index(keys, model_name, layer_name)
     queries = queries_for(keys, rng_seed=23)
-    oracle = scalar_oracle(index, queries)
-    for mode in ("numpy", "auto"):
-        set_kernel_mode(mode, strict=False)
-        got = index.lookup_batch_vectorized(queries)
-        np.testing.assert_array_equal(got, oracle, err_msg=f"mode={mode}")
-    plan = dispatch.build_plan(index.model, index.layer, len(keys))
-    if plan is None:
-        return
     np.testing.assert_array_equal(
-        dispatch.run_plan(plan, keys, queries, cpu), oracle)
+        index.lookup_batch_vectorized(queries), scalar_oracle(index, queries)
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -357,13 +216,8 @@ def test_kernel_parity_fixed_dataset(model_name, layer_name):
 def test_kernel_parity_property_interpolation_window(keys, seed):
     index = _make_index(keys, "IM", "R")
     queries = queries_for(keys, rng_seed=seed, count=32)
-    oracle = scalar_oracle(index, queries)
-    plan = dispatch.build_plan(index.model, index.layer, len(keys))
     np.testing.assert_array_equal(
-        dispatch.run_plan(plan, keys, queries, cpu), oracle)
-    set_kernel_mode("numpy")
-    np.testing.assert_array_equal(
-        index.lookup_batch_vectorized(queries), oracle
+        index.lookup_batch_vectorized(queries), scalar_oracle(index, queries)
     )
 
 
@@ -371,17 +225,12 @@ def test_kernel_parity_property_interpolation_window(keys, seed):
 @given(keys=sorted_uint_arrays(min_size=4, max_size=150), seed=st.integers(0, 2**16))
 def test_kernel_parity_property_rmi_point_correction(keys, seed):
     # constant-key data breaks numpy's polyfit (pre-existing cubic-RMI
-    # build limitation, unrelated to the kernels under test)
+    # build limitation, unrelated to the pipeline under test)
     assume(keys[0] != keys[-1])
     index = _make_index(keys, "rmi-cubic", "S")
     queries = queries_for(keys, rng_seed=seed, count=32)
-    oracle = scalar_oracle(index, queries)
-    plan = dispatch.build_plan(index.model, index.layer, len(keys))
     np.testing.assert_array_equal(
-        dispatch.run_plan(plan, keys, queries, cpu), oracle)
-    set_kernel_mode("numpy")
-    np.testing.assert_array_equal(
-        index.lookup_batch_vectorized(queries), oracle
+        index.lookup_batch_vectorized(queries), scalar_oracle(index, queries)
     )
 
 
@@ -404,17 +253,22 @@ def test_validated_search_exact_under_arbitrary_windows(keys, seed):
     truth = np.searchsorted(keys, queries, side="left").astype(np.int64)
     public = validated_lower_bound_batch(keys, queries, starts, widths)
     np.testing.assert_array_equal(public, truth)
-    for impls in (cpu, numpy_impl):
-        out = np.empty(len(queries), dtype=np.int64)
-        impls.validated_search(
-            keys, queries, starts.astype(np.int64),
-            widths.astype(np.int64), out,
-        )
-        np.testing.assert_array_equal(out, truth)
+    out = np.empty(len(queries), dtype=np.int64)
+    validated_search(
+        keys, queries, starts.astype(np.int64), widths.astype(np.int64), out
+    )
+    np.testing.assert_array_equal(out, truth)
 
 
-@pytest.mark.parametrize("impls", [cpu, numpy_impl], ids=["cpu", "numpy"])
-def test_validated_search_adversarial_fixed_windows(impls):
+def _checked_entry(data, queries, starts, widths, out):
+    out[:] = validated_lower_bound_batch(data, queries, starts, widths)
+    return out
+
+
+@pytest.mark.parametrize(
+    "search", [validated_search, _checked_entry], ids=["numpy", "checked"]
+)
+def test_validated_search_adversarial_fixed_windows(search):
     keys = np.array([5, 5, 5, 9, 9, 14, 20, 20], dtype=np.uint64)
     queries = np.array([0, 5, 6, 9, 14, 15, 20, 21], dtype=np.uint64)
     cases = [
@@ -427,7 +281,7 @@ def test_validated_search_adversarial_fixed_windows(impls):
     for starts in cases:
         for width in (0, 1, 3):
             out = np.empty(len(queries), dtype=np.int64)
-            impls.validated_search(
+            search(
                 keys, queries, starts,
                 np.full(len(queries), width, dtype=np.int64), out,
             )
@@ -440,21 +294,20 @@ def test_validated_search_adversarial_fixed_windows(impls):
     seed=st.integers(0, 2**16),
 )
 def test_bounded_search_backends_agree(keys, seed):
-    """The one batch search (windowed + §3.8 validation) answers exactly
-    on both backends, whatever the windows — clipped, empty, misplaced."""
+    """The checked batch entry and the raw search it wraps (windowed +
+    §3.8 validation) answer exactly, whatever the windows — clipped,
+    empty, misplaced."""
     rng = np.random.default_rng(seed)
     n = len(keys)
     queries = queries_for(keys, rng_seed=seed, count=16)
     starts = rng.integers(-2, n + 2, size=len(queries))
     widths = rng.integers(0, n + 1, size=len(queries))
     ref = validated_lower_bound_batch(keys, queries, starts, widths)
-    for impls in (cpu, numpy_impl):
-        out = np.empty(len(queries), dtype=np.int64)
-        impls.validated_search(
-            keys, queries, starts.astype(np.int64), widths.astype(np.int64),
-            out,
-        )
-        np.testing.assert_array_equal(out, ref)
+    out = np.empty(len(queries), dtype=np.int64)
+    validated_search(
+        keys, queries, starts.astype(np.int64), widths.astype(np.int64), out
+    )
+    np.testing.assert_array_equal(out, ref)
     truth = np.searchsorted(keys, queries, side="left")
     np.testing.assert_array_equal(ref, truth)
 
@@ -475,7 +328,7 @@ def test_empty_batch_and_empty_window_edges():
 
 
 # ----------------------------------------------------------------------
-# engine-level parity across backends × kernel modes
+# engine-level parity across backends × executor modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["static", "gapped", "fenwick"])
 def test_executor_parity_across_backends_and_modes(backend):
@@ -484,9 +337,26 @@ def test_executor_parity_across_backends_and_modes(backend):
     sharded = ShardedIndex.build(keys, num_shards=3, backend=backend)
     queries = queries_for(keys, rng_seed=37)
     truth = np.searchsorted(keys, queries, side="left")
-    executor = BatchExecutor(sharded)
-    for mode in ("numpy", "auto"):
-        set_kernel_mode(mode, strict=False)
+    for mode in ("vectorized", "scalar"):
         np.testing.assert_array_equal(
-            executor.lookup_batch(queries), truth, err_msg=f"{backend}/{mode}"
+            BatchExecutor(sharded, mode=mode).lookup_batch(queries), truth,
+            err_msg=f"{backend}/{mode}",
         )
+
+
+# ----------------------------------------------------------------------
+# the names the benchmark ladder imports from repro.kernels
+# ----------------------------------------------------------------------
+def test_ladder_import_contract():
+    keys = np.array([5, 5, 9, 14, 20, 20, 31], dtype=np.uint64)
+    queries = np.array([0, 5, 6, 14, 21, 31, 40], dtype=np.uint64)
+    starts = np.array([0, 4, -3, 3, 6, 0, 2], dtype=np.int64)
+    widths = np.array([7, 0, 2, 1, 0, 3, 9], dtype=np.int64)
+    out = np.full(len(queries), -1, dtype=np.int64)
+    search = REGISTRY.get("search.validated")
+    assert search(keys, queries, starts, widths, out) is out
+    np.testing.assert_array_equal(
+        out, np.searchsorted(keys, queries, side="left")
+    )
+    assert REGISTRY.effective_mode() == "numpy"
+    assert numba_available is False
