@@ -21,7 +21,8 @@ try:
         run_engine_updates,
     )
     from repro.bench.reporting import format_table
-    from repro.engine import BACKEND_KINDS
+    from repro.engine import BACKEND_KINDS, LAYER_MODES
+    from repro.models import MODEL_FACTORIES
 except ImportError:  # direct invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro.bench.engine_updates import (
@@ -29,7 +30,8 @@ except ImportError:  # direct invocation without PYTHONPATH=src
         run_engine_updates,
     )
     from repro.bench.reporting import format_table
-    from repro.engine import BACKEND_KINDS
+    from repro.engine import BACKEND_KINDS, LAYER_MODES
+    from repro.models import MODEL_FACTORIES
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,8 +42,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="operations per cell (default 50k)")
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--dataset", default="uden64")
-    parser.add_argument("--model", default="interpolation")
-    parser.add_argument("--layer", default="R", choices=["R", "S", "none"])
+    parser.add_argument("--model", default="interpolation",
+                        choices=list(MODEL_FACTORIES))
+    parser.add_argument("--layer", default="R", choices=list(LAYER_MODES))
     parser.add_argument("--backends", nargs="*", default=list(BACKEND_KINDS))
     parser.add_argument("--write-fractions", nargs="*", type=float,
                         default=list(DEFAULT_WRITE_FRACTIONS))
@@ -63,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         num_shards=args.shards,
         dataset=args.dataset,
         model=args.model,
-        layer=None if args.layer == "none" else args.layer,
+        layer=args.layer,
         backends=tuple(args.backends),
         write_fractions=tuple(args.write_fractions),
         ops=args.ops,

@@ -2,7 +2,7 @@
 
 Builds a key space whose ranges follow *different* distributions, lets
 ``ShardedIndex.build(auto_tune=True)`` choose each shard's model family
-and layer mode from its local slice, then drives a write-heavy workload
+(interpolation or RMI, each R-corrected) from its local slice, then drives a write-heavy workload
 at one region and calls ``retune()`` — the tuner sees the observed
 read/write mix and moves the hot shard onto a write-optimised backend.
 Every answer is checked against ``np.searchsorted`` on the live keys.
@@ -28,7 +28,7 @@ def main() -> None:
     keys = multi_distribution_keys(60_000, seed=7)
     rng = np.random.default_rng(7)
 
-    # 2. build with auto-tuning: each shard gets the model + layer the
+    # 2. build with auto-tuning: each shard gets the model family the
     #    §3.9 cost model predicts fastest for ITS slice
     index = ShardedIndex.build(keys, num_shards=6, auto_tune=True)
     executor = BatchExecutor(index)

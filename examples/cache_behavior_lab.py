@@ -12,7 +12,6 @@ Run:  python examples/cache_behavior_lab.py
 
 import numpy as np
 
-from repro.core.analyze import analyze_layer, format_report
 from repro.core.records import SortedData
 from repro.core.shift_table import ShiftTable
 from repro.datasets import load
@@ -70,10 +69,6 @@ def main() -> None:
     print(f"\none Shift-Table probe: {probe.stats.total_ns:.0f} ns "
           f"(paper §4.1: 'around 40ns') — the layer is too big to cache, "
           f"but needs exactly one touch")
-
-    # ---- §3.6/§3.7 layer analysis --------------------------------------
-    print("\nlayer analysis (§3.6/§3.7):")
-    print(format_report(analyze_layer(layer)))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ def main() -> None:
         # ---- build once, persist ------------------------------------
         model = InterpolationModel(keys)
         layer = ShiftTable.build(keys, model)
-        save_model(model, model_path)  # any model family, checksummed
+        save_model(model, model_path)  # interpolation or RMI, checksummed
         save_layer(layer, layer_path)
         print(f"persisted model ({model_path.stat().st_size} B) and layer "
               f"({layer_path.stat().st_size / 1e6:.1f} MB on disk, "

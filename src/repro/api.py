@@ -39,10 +39,10 @@ from .core.records import coerce_query_array
 from .engine.autotune import AutoTuneConfig
 from .engine.backends import BACKEND_KINDS, BackendConfig
 from .engine.executor import BatchExecutor
-from .engine.sharded import LAYER_MODES, ShardedIndex
+from .engine.sharded import ShardedIndex
 from .engine.wal import WAL_SYNC_MODES
 from .hardware.machine import DEFAULT_PAYLOAD_BYTES
-from .models.factory import MODEL_FACTORIES
+from .models.factory import check_engine_shape
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .serve.server import IndexServer
@@ -59,8 +59,8 @@ PRESETS: dict[str, dict] = {
     # mixed read/write traffic: ALEX-style gapped shards absorb writes
     # at O(nearest gap) instead of O(shard)
     "mixed": {"backend": "gapped", "layer": "R"},
-    # let the §3.9 cost model pick model family + layer per shard at
-    # build time, and everything (incl. backend) at retune() time
+    # let the §3.9 cost model pick the model family per shard at build
+    # time, and the backend too at retune() time
     "auto": {"backend": "gapped", "layer": "R", "auto_tune": True},
 }
 
@@ -74,11 +74,12 @@ class IndexConfig:
     ``AutoTuneConfig``:
 
     * ``num_shards`` — range partitions (run-aligned cuts);
-    * ``model`` — shard-local model family, a name from
-      ``repro.models.MODEL_FACTORIES`` (names only: a config must stay
-      serialisable, use the deep API for custom callables);
+    * ``model`` — shard-local model family: ``"interpolation"`` (the
+      paper's cheap model) or ``"rmi"`` (for skewed data where the
+      interpolation window blows up);
     * ``layer`` — correction mode: ``"R"`` (guaranteed-window
-      Shift-Table), ``"S"`` (compact layer) or ``None`` (bare model);
+      Shift-Table) or ``"S"`` (compact layer) — the engine always
+      corrects (any other model or layer raises ``ValueError``);
     * ``layer_partitions`` — the paper's ``M`` per shard (``None`` =
       ``M = N_shard``);
     * ``backend`` — shard storage engine: ``"static"`` | ``"gapped"``
@@ -104,7 +105,7 @@ class IndexConfig:
 
     num_shards: int = 8
     model: str = "interpolation"
-    layer: str | None = "R"
+    layer: str = "R"
     layer_partitions: int | None = None
     backend: str = "static"
     density: float = 0.75
@@ -117,21 +118,7 @@ class IndexConfig:
     def __post_init__(self) -> None:
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if not isinstance(self.model, str):
-            raise ValueError(
-                "IndexConfig.model must be a model family name (configs "
-                "are serialisable); pass custom callables to "
-                "repro.engine.ShardedIndex.build instead"
-            )
-        if self.model not in MODEL_FACTORIES:
-            raise ValueError(
-                f"unknown model family {self.model!r}; "
-                f"known: {sorted(MODEL_FACTORIES)}"
-            )
-        if self.layer not in LAYER_MODES:
-            raise ValueError(
-                f"layer must be one of {LAYER_MODES}, got {self.layer!r}"
-            )
+        check_engine_shape(self.model, self.layer)
         if self.backend not in BACKEND_KINDS:
             raise ValueError(
                 f"backend must be one of {BACKEND_KINDS}, "
@@ -362,8 +349,7 @@ class Index:
         bc = engine.config
         return IndexConfig(
             num_shards=engine.num_shards,
-            model=bc.model if isinstance(bc.model, str)
-            else "interpolation",
+            model=bc.model,
             layer=bc.layer,
             layer_partitions=bc.layer_partitions,
             backend=engine.backend_kind,

@@ -11,8 +11,8 @@ segments face very different local CDFs.  The sweep measures:
   engine's only option before auto-tuning);
 * the **auto-tuned engine** — ``ShardedIndex.build(auto_tune=True)``
   plus a workload-observing warmup and a ``retune()`` pass, so each
-  shard runs the model/layer/backend the §3.9 cost model picked for
-  *its* slice.
+  shard runs the model/backend the §3.9 cost model picked for *its*
+  slice.
 
 Every cell is verified against a ``searchsorted`` oracle (the driver
 raises on any mismatch), and the auto-tuned row reports its per-shard
@@ -38,7 +38,6 @@ SMOKE_LIMITS = {"n": 45_000, "num_queries": 20_000, "repeats": 2}
 DEFAULT_GLOBAL_CONFIGS = (
     ("interpolation", "R"),
     ("rmi", "R"),
-    ("radix_spline", "R"),
 )
 
 #: Dataset segments of the skewed multi-distribution key space.
@@ -109,7 +108,7 @@ def run_autotune_bench(
     num_queries: int = 100_000,
     batch_size: int = 8192,
     repeats: int = 3,
-    global_configs: tuple[tuple[str, str | None], ...] = DEFAULT_GLOBAL_CONFIGS,
+    global_configs: tuple[tuple[str, str], ...] = DEFAULT_GLOBAL_CONFIGS,
     seed: int = 42,
     workers: int = 1,
     min_ratio: float | None = 0.8,
@@ -148,7 +147,7 @@ def run_autotune_bench(
             _verify(executor, keys, queries, f"fixed {model}+{layer}")
             qps = _measure_qps(executor, queries, batch_size, repeats)
         rows.append({
-            "config": f"fixed {model}+{layer or 'none'}",
+            "config": f"fixed {model}+{layer}",
             "qps": qps,
             "ns_per_lookup": 1e9 / qps,
             "shards": index.num_shards,

@@ -34,7 +34,7 @@ def run_engine_updates(
     num_shards: int = 4,
     dataset: str = "uden64",
     model: str = "interpolation",
-    layer: str | None = "R",
+    layer: str = "R",
     backends: tuple[str, ...] = BACKEND_KINDS,
     write_fractions: tuple[float, ...] = DEFAULT_WRITE_FRACTIONS,
     ops: int = 50_000,

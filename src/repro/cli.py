@@ -42,6 +42,7 @@ import time
 import numpy as np
 
 from .bench.reporting import format_table
+from .models.factory import LAYER_MODES, MODEL_FACTORIES
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -79,7 +80,7 @@ def _facade_config(args: argparse.Namespace):
         return IndexConfig.from_preset(args.preset, **overrides)
     return IndexConfig(
         model=args.model,
-        layer=None if args.layer == "none" else args.layer,
+        layer=args.layer,
         backend=args.backend,
         auto_tune=args.auto_tune,
         **overrides,
@@ -337,9 +338,12 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--shards", type=int, default=8,
                         help="number of range shards (default 8)")
     parser.add_argument("--model", default="interpolation",
-                        help="shard-local model factory name")
-    parser.add_argument("--layer", default="R", choices=["R", "S", "none"],
-                        help="correction layer mode per shard")
+                        choices=list(MODEL_FACTORIES),
+                        help="shard-local model family (default "
+                             "interpolation; rmi for skewed keys)")
+    parser.add_argument("--layer", default="R", choices=list(LAYER_MODES),
+                        help="correction layer per shard: R (guaranteed "
+                             "window) or S (compact)")
     parser.add_argument("--workers", type=int, default=1,
                         help="thread-pool size for cross-shard execution")
 
@@ -359,7 +363,7 @@ def _cmd_engine_update_bench(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         dataset=args.dataset,
         model=args.model,
-        layer=None if args.layer == "none" else args.layer,
+        layer=args.layer,
         backends=tuple(args.backends),
         write_fractions=fractions,
         ops=args.queries or 50_000,

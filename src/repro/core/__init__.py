@@ -1,6 +1,5 @@
 """The paper's primary contribution: Shift-Table and its surroundings."""
 
-from .analyze import LayerReport, analyze_layer, format_report
 from .compact import CompactShiftTable
 from .corrected_index import CorrectedIndex, validated_window_search
 from .cost_model import (
@@ -63,9 +62,6 @@ __all__ = [
     "choose_compact_layer",
     "TuningReport",
     "RangeQueryEngine",
-    "analyze_layer",
-    "format_report",
-    "LayerReport",
     "LookupTrace",
     "save_layer",
     "load_layer",

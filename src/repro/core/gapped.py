@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..hardware.tracker import NULL_TRACKER, NullTracker
-from ..models.factory import ModelFactory, make_model
+from ..models.factory import make_model
 from .corrected_index import CorrectedIndex
 from .records import SortedData
 from .shift_table import ShiftTable
@@ -53,7 +53,7 @@ class GappedLearnedIndex:
 
     def __init__(self, keys: np.ndarray, density: float = 0.75,
                  name: str = "gapped",
-                 model: str | ModelFactory = "interpolation") -> None:
+                 model: str = "interpolation") -> None:
         if not (0.1 <= density <= 1.0):
             raise ValueError("density must be in [0.1, 1.0]")
         keys = np.asarray(keys)

@@ -17,9 +17,10 @@ Bottom up:
 * the **state codecs** (:func:`model_to_state` / :func:`model_from_state`,
   :func:`layer_to_state` / :func:`layer_from_state`) — each turns an
   object into ``(scalars, arrays)`` — a JSON-safe scalar dict plus a
-  dict of numpy arrays — and back, **without refitting**.  Every model
-  family the factory knows (interpolation, linear, rmi, radix_spline,
-  pgm, histogram) round-trips bit-identically;
+  dict of numpy arrays — and back, **without refitting**.  The engine's
+  two model families (interpolation and linear-root RMI) and both
+  layers (R, S) round-trip bit-identically; any other kind is refused
+  by name, never misread;
 * :func:`save_layer` / :func:`load_layer` and :func:`save_model` /
   :func:`load_model` — one codec state in one container.
 
@@ -38,15 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from ..hardware.tracker import alloc_region
-from ..models.histogram import HistogramModel, _BOUNDARY_BYTES
 from ..models.interpolation import InterpolationModel
-from ..models.linear import LinearModel
-from ..models.pgm import PGMModel, _Level, _SEGMENT_BYTES
-from ..models.radix_spline import (
-    RadixSplineModel,
-    _POINT_BYTES,
-    _RADIX_ENTRY_BYTES,
-)
 from ..models.rmi import RMIModel, _LEAF_ENTRY_BYTES
 from .compact import CompactShiftTable
 from .shift_table import ShiftTable
@@ -64,8 +57,7 @@ class IndexPersistError(ValueError):
 
     Raised with a human-readable reason: not an artifact of the expected
     kind, an unsupported format version, a checksum mismatch
-    (corruption), or state the codecs cannot encode (custom model
-    callables).
+    (corruption), or state the codecs cannot encode.
     """
 
 
@@ -213,10 +205,13 @@ def read_archive(
 # state codecs: (scalars, arrays) <-> fitted objects, no refitting
 # ----------------------------------------------------------------------
 
-#: Model families :func:`model_to_state` can encode.
-SERIALIZABLE_MODELS = (
-    "interpolation", "linear", "rmi", "radix_spline", "pgm", "histogram",
-)
+#: Model families :func:`model_to_state` can encode: the engine's two.
+SERIALIZABLE_MODELS = ("interpolation", "rmi")
+
+
+def _unserialisable(what: str) -> str:
+    return (f"no state codec for {what}; serialisable families: "
+            f"{SERIALIZABLE_MODELS} (RMI with a linear root)")
 
 
 def model_to_state(model) -> tuple[dict, dict]:
@@ -225,72 +220,31 @@ def model_to_state(model) -> tuple[dict, dict]:
     ``scalars`` is a JSON-safe dict whose ``"kind"`` names the family
     (one of :data:`SERIALIZABLE_MODELS`); ``arrays`` holds the model's
     numpy parameter arrays.  :func:`model_from_state` inverts this
-    bit-identically without refitting.  Raises ``TypeError`` for model
-    types without a codec (custom callables, ``FunctionModel``).
+    bit-identically without refitting.  Raises ``TypeError`` for any
+    other model type (the paper harness's other families, a cubic- or
+    radix-root RMI, ``FunctionModel``).
     """
-    arrays: dict[str, np.ndarray] = {}
     if isinstance(model, InterpolationModel):
-        scalars = {
+        return {
             "kind": "interpolation", "num_keys": model.num_keys,
             "min": model._min, "max": model._max, "scale": model._scale,
-        }
-    elif isinstance(model, LinearModel):
-        scalars = {
-            "kind": "linear", "num_keys": model.num_keys,
-            "slope": model.slope, "intercept": model.intercept,
-        }
-    elif isinstance(model, RMIModel):
-        scalars = {
+        }, {}
+    if isinstance(model, RMIModel) and model.root_kind == "linear":
+        return {
             "kind": "rmi", "num_keys": model.num_keys, "name": model.name,
             "root_kind": model.root_kind, "num_leaves": model.num_leaves,
             "min": model._min, "max": model._max,
-            # linear/cubic roots hold floats; the radix root holds the
-            # (possibly > 2**63) base key and the shift as exact ints
             "root_params": list(model._root_params),
             "mean_abs_error": model.mean_abs_error,
             "max_abs_error": model.max_abs_error,
-        }
-        if model.root_kind == "cubic":
-            scalars["span"] = model._span
-        arrays = {
+        }, {
             "slopes": model._slopes, "intercepts": model._intercepts,
             "err_lo": model._err_lo, "err_hi": model._err_hi,
         }
-    elif isinstance(model, RadixSplineModel):
-        scalars = {
-            "kind": "radix_spline", "num_keys": model.num_keys,
-            "name": model.name, "epsilon": model.epsilon,
-            "radix_bits": model.radix_bits, "key_min": model._key_min,
-            "shift": model._shift,
-        }
-        arrays = {
-            "sp_keys": model._sp_keys, "sp_pos": model._sp_pos,
-            "table": model._table,
-        }
-    elif isinstance(model, PGMModel):
-        scalars = {
-            "kind": "pgm", "num_keys": model.num_keys, "name": model.name,
-            "epsilon": model.epsilon,
-            "epsilon_internal": model.epsilon_internal,
-            "num_levels": len(model.levels),
-        }
-        for i, level in enumerate(model.levels):
-            arrays[f"L{i}_first_keys"] = level.first_keys
-            arrays[f"L{i}_slopes"] = level.slopes
-            arrays[f"L{i}_y0"] = level.y0
-    elif isinstance(model, HistogramModel):
-        scalars = {
-            "kind": "histogram", "num_keys": model.num_keys,
-            "name": model.name, "buckets": model.buckets,
-            "depth": model.depth,
-        }
-        arrays = {"bounds": model._bounds}
-    else:
-        raise TypeError(
-            f"no state codec for model type {type(model).__name__}; "
-            f"serialisable families: {SERIALIZABLE_MODELS}"
-        )
-    return scalars, arrays
+    root = getattr(model, "root_kind", None)
+    raise TypeError(_unserialisable(
+        f"model type {type(model).__name__}"
+        + (f" with a {root} root" if root else "")))
 
 
 def model_from_state(scalars: dict, arrays: dict):
@@ -299,6 +253,7 @@ def model_from_state(scalars: dict, arrays: dict):
     Simulated-memory regions are re-allocated fresh (their addresses are
     process-local); every parameter array and scalar is restored
     bit-identically, so predictions match the saved model exactly.
+    Raises ``ValueError`` naming any other ``kind`` (or RMI root).
     """
     kind = scalars["kind"]
     if kind == "interpolation":
@@ -308,28 +263,15 @@ def model_from_state(scalars: dict, arrays: dict):
         model._max = float(scalars["max"])
         model._scale = float(scalars["scale"])
         return model
-    if kind == "linear":
-        model = LinearModel.__new__(LinearModel)
-        model.num_keys = int(scalars["num_keys"])
-        model.slope = float(scalars["slope"])
-        model.intercept = float(scalars["intercept"])
-        model.is_monotone = model.slope >= 0.0
-        return model
-    if kind == "rmi":
+    if kind == "rmi" and scalars["root_kind"] == "linear":
         model = RMIModel.__new__(RMIModel)
         model.num_keys = int(scalars["num_keys"])
         model.name = str(scalars["name"])
-        model.root_kind = str(scalars["root_kind"])
+        model.root_kind = "linear"
         model.num_leaves = int(scalars["num_leaves"])
         model._min = float(scalars["min"])
         model._max = float(scalars["max"])
-        params = scalars["root_params"]
-        if model.root_kind == "radix":
-            model._root_params = (int(params[0]), int(params[1]))
-        else:
-            model._root_params = tuple(float(p) for p in params)
-        if model.root_kind == "cubic":
-            model._span = float(scalars["span"])
+        model._root_params = tuple(float(p) for p in scalars["root_params"])
         model._slopes = arrays["slopes"]
         model._intercepts = arrays["intercepts"]
         model._err_lo = arrays["err_lo"]
@@ -341,65 +283,13 @@ def model_from_state(scalars: dict, arrays: dict):
             f"rmi_leaves_{id(model):x}", _LEAF_ENTRY_BYTES, model.num_leaves
         )
         return model
-    if kind == "radix_spline":
-        model = RadixSplineModel.__new__(RadixSplineModel)
-        model.num_keys = int(scalars["num_keys"])
-        model.name = str(scalars["name"])
-        model.epsilon = int(scalars["epsilon"])
-        model.radix_bits = int(scalars["radix_bits"])
-        model._key_min = int(scalars["key_min"])
-        model._shift = int(scalars["shift"])
-        model._sp_keys = arrays["sp_keys"]
-        model._sp_pos = arrays["sp_pos"]
-        model._table = arrays["table"]
-        model._table_region = alloc_region(
-            f"rs_radix_{id(model):x}", _RADIX_ENTRY_BYTES, len(model._table)
-        )
-        model._points_region = alloc_region(
-            f"rs_points_{id(model):x}", _POINT_BYTES, len(model._sp_keys)
-        )
-        return model
-    if kind == "pgm":
-        model = PGMModel.__new__(PGMModel)
-        model.num_keys = int(scalars["num_keys"])
-        model.name = str(scalars["name"])
-        model.epsilon = int(scalars["epsilon"])
-        model.epsilon_internal = int(scalars["epsilon_internal"])
-        tag = f"pgm_{id(model):x}"
-        levels = []
-        for i in range(int(scalars["num_levels"])):
-            level = _Level.__new__(_Level)
-            level.first_keys = arrays[f"L{i}_first_keys"]
-            level.slopes = arrays[f"L{i}_slopes"]
-            level.y0 = arrays[f"L{i}_y0"]
-            level.region = alloc_region(
-                f"{tag}_L{i}", _SEGMENT_BYTES, len(level.first_keys)
-            )
-            levels.append(level)
-        model.levels = levels
-        return model
-    if kind == "histogram":
-        model = HistogramModel.__new__(HistogramModel)
-        model.num_keys = int(scalars["num_keys"])
-        model.name = str(scalars["name"])
-        model.buckets = int(scalars["buckets"])
-        model.depth = float(scalars["depth"])
-        model._bounds = arrays["bounds"]
-        model._region = alloc_region(
-            f"hist_{id(model):x}", _BOUNDARY_BYTES, model.buckets + 1
-        )
-        return model
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind == "rmi":
+        kind = f"rmi with a {scalars['root_kind']} root"
+    raise ValueError(_unserialisable(f"model kind {kind!r}"))
 
 
 def layer_to_state(layer) -> tuple[dict, dict]:
-    """Encode a correction layer as ``(scalars, arrays)``.
-
-    ``None`` layers encode as ``({"kind": None}, {})`` so callers can
-    persist the three layer modes uniformly.
-    """
-    if layer is None:
-        return {"kind": None}, {}
+    """Encode a correction layer (R- or S-mode) as ``(scalars, arrays)``."""
     if isinstance(layer, ShiftTable):
         return (
             {"kind": "shift_table", "num_keys": layer.num_keys},
@@ -416,10 +306,12 @@ def layer_to_state(layer) -> tuple[dict, dict]:
 
 
 def layer_from_state(scalars: dict, arrays: dict):
-    """Rebuild the layer :func:`layer_to_state` encoded."""
+    """Rebuild the layer :func:`layer_to_state` encoded.
+
+    Raises ``ValueError`` naming any other ``kind`` — including
+    ``None``, a bare model, which the engine no longer serves.
+    """
     kind = scalars["kind"]
-    if kind is None:
-        return None
     if kind == "shift_table":
         return ShiftTable(
             deltas=arrays["deltas"], widths=arrays["widths"],
@@ -431,7 +323,10 @@ def layer_from_state(scalars: dict, arrays: dict):
             num_keys=int(scalars["num_keys"]),
             mean_abs_error=float(scalars["mean_abs_error"]),
         )
-    raise ValueError(f"unknown layer kind {kind!r}")
+    raise ValueError(
+        f"no state codec for layer kind {kind!r}; serialisable layers: "
+        "'shift_table' (R), 'compact_shift_table' (S)"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +345,7 @@ def load_layer(path: str | Path):
 
 
 def save_model(model, path: str | Path) -> None:
-    """Write a fitted model of any :data:`SERIALIZABLE_MODELS` family."""
+    """Write a fitted model of a :data:`SERIALIZABLE_MODELS` family."""
     scalars, arrays = model_to_state(model)
     write_archive(path, MODEL_FORMAT_NAME, {"state": scalars}, arrays)
 

@@ -15,6 +15,7 @@ from each shard's local keys and observed read/write mix.
 >>> positions = BatchExecutor(index).lookup_batch(queries)
 """
 
+from ..models.factory import LAYER_MODES
 from .autotune import (
     AutoTuneConfig,
     ShardDecision,
@@ -45,7 +46,7 @@ from .persist import (
 )
 from .wal import WAL_SYNC_MODES, WalError, WalRecord, WalWriter, read_wal
 from .plan import ExecutionPlan, ShardSlice
-from .sharded import LAYER_MODES, ShardedIndex, WriteEvent, snap_offsets
+from .sharded import ShardedIndex, WriteEvent, snap_offsets
 
 __all__ = [
     "AutoTuneConfig",

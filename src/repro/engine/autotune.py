@@ -1,21 +1,22 @@
 """Workload-adaptive per-shard auto-tuning: the §3.9 cost model, applied
 per shard inside the engine.
 
-The paper's tuning procedure (``core/tuner.tune``) answers *model alone
-or model + layer?* for one dataset.  A sharded deployment asks that
-question once per shard — each shard sees its own slice of the key
-distribution — and adds two more choices the paper's single-index
+The paper's tuning procedure (``core/tuner.tune``) prices a model with
+and without its Shift-Table layer for one dataset.  The engine always
+keeps the layer and asks, once per shard — each shard sees its own
+slice of the key distribution — two choices the paper's single-index
 setting doesn't have:
 
 * **which model family?** — a shard covering a smooth uniform segment
   wants the 8-byte interpolation model; a shard covering a heavy-tailed
-  or clustered segment may justify an RMI or RadixSpline;
+  or clustered segment may justify an RMI (the engine's two families;
+  every shard keeps its R-mode layer);
 * **which storage backend?** — the observed read/write mix decides
   whether rebuild-on-write (``static``), an ALEX-style gapped array
   (``gapped``) or §6 delta buffers (``fenwick``) minimise mixed-workload
   latency.
 
-:class:`ShardTuner` folds all three into one scored decision per shard,
+:class:`ShardTuner` folds both into one scored decision per shard,
 driven by the shard's local key distribution (fed through
 :func:`repro.core.tuner.tune` / the eq. 8–10 cost model) and the
 workload counters the engine already collects
@@ -38,31 +39,16 @@ from ..core.tuner import tune
 from ..models.factory import IndexDecision, make_model
 from .backends import BACKEND_KINDS, BackendConfig, ShardStats
 
-#: Correction-layer modes the tuner can score ("S" is a memory-budget
-#: fallback the cost model has no latency equation for — see §3.4).
-TUNABLE_LAYERS = ("R", None)
-
 #: Per-family model-access cost in ns, the ``Latency(F_θ)`` term of
-#: eqs. (9)/(10).  Calibrated to the vectorised batch pipeline's
-#: relative per-lane costs (an interpolation model is two loads and a
-#: multiply; an RMI adds a second-level leaf lookup; a RadixSpline adds
-#: a radix-table load plus a bounded spline search).
+#: eq. (9); its keys are the model families the tuner scores, each with
+#: an R-mode layer ("S" is a memory-budget fallback the cost model has
+#: no latency equation for — see §3.4).  Calibrated to the vectorised
+#: batch pipeline's relative per-lane costs (an interpolation model is
+#: two loads and a multiply; an RMI adds a second-level leaf lookup).
 MODEL_ACCESS_NS = {
     "interpolation": 6.0,
-    "linear": 5.0,
-    "histogram": 9.0,
     "rmi": 14.0,
-    # the spline evaluation is a per-lane bounded searchsorted over the
-    # radix bucket's spline points — costlier than RMI's leaf lookup
-    "radix_spline": 22.0,
-    "pgm": 18.0,
 }
-
-#: Model families whose batch pipeline can bound the local search from
-#: the model's own error guarantee (``error_bounds``/RMI per-leaf
-#: bounds).  A *layer-less* shard built on any other family falls back
-#: to a full per-shard ``searchsorted`` — the scoring must price that.
-MODELS_WITH_BATCH_BOUNDS = frozenset({"rmi", "radix_spline", "pgm"})
 
 #: Mixed-workload cost constants per backend: amortised cost of one
 #: routed write, and the multiplicative read penalty the backend's
@@ -99,8 +85,9 @@ def local_search_ns(err: float, curve: LatencyCurve | None = None) -> float:
 class AutoTuneConfig:
     """Knobs of the per-shard auto-tuner.
 
-    ``models``/``layers``/``backends`` bound the search space (set
-    ``backends`` to a single kind to pin the storage engine); ``curve``
+    The tuner scores every family of :data:`MODEL_ACCESS_NS` with an
+    R-mode layer; ``backends`` bounds the storage engines it considers
+    (set it to a single kind to pin the storage engine); ``curve``
     feeds the measured §2.3 latency curve into eqs. (9)/(10) instead of
     the log2 estimate; ``min_shard_keys`` skips shards too small for
     model choice to matter; ``min_observations`` is how many observed
@@ -112,8 +99,6 @@ class AutoTuneConfig:
     pass merges a shard into its neighbour.
     """
 
-    models: tuple[str, ...] = ("interpolation", "rmi", "radix_spline")
-    layers: tuple[str | None, ...] = TUNABLE_LAYERS
     backends: tuple[str, ...] = BACKEND_KINDS
     curve: LatencyCurve | None = None
     layer_ns: float = BATCH_LAYER_LOOKUP_NS
@@ -124,24 +109,13 @@ class AutoTuneConfig:
     merge_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        for layer in self.layers:
-            if layer not in TUNABLE_LAYERS:
-                raise ValueError(
-                    f"tunable layers are {TUNABLE_LAYERS}, got {layer!r}"
-                )
         for backend in self.backends:
             if backend not in BACKEND_KINDS:
                 raise ValueError(
                     f"backends must be among {BACKEND_KINDS}, got {backend!r}"
                 )
-        for model in self.models:
-            if model not in MODEL_ACCESS_NS:
-                raise ValueError(
-                    f"no access-cost estimate for model {model!r}; "
-                    f"known: {sorted(MODEL_ACCESS_NS)}"
-                )
-        if not (self.models and self.layers and self.backends):
-            raise ValueError("models, layers and backends must be non-empty")
+        if not self.backends:
+            raise ValueError("backends must be non-empty")
 
     def to_dict(self) -> dict:
         """JSON-safe dict for persistence (``engine/persist``).
@@ -152,8 +126,6 @@ class AutoTuneConfig:
         attached.  Inverted by :meth:`from_dict`.
         """
         return {
-            "models": list(self.models),
-            "layers": list(self.layers),
             "backends": list(self.backends),
             "layer_ns": self.layer_ns,
             "min_shard_keys": self.min_shard_keys,
@@ -165,10 +137,12 @@ class AutoTuneConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AutoTuneConfig":
-        """Rebuild a config written by :meth:`to_dict` (validated)."""
+        """Rebuild a config written by :meth:`to_dict` (validated).
+
+        Older manifests also carry ``models``/``layers`` search-space
+        keys; the search space is fixed now, so they are ignored.
+        """
         return cls(
-            models=tuple(payload["models"]),
-            layers=tuple(payload["layers"]),
             backends=tuple(payload["backends"]),
             layer_ns=float(payload["layer_ns"]),
             min_shard_keys=int(payload["min_shard_keys"]),
@@ -206,7 +180,7 @@ class ShardDecision:
 
 
 class ShardTuner:
-    """Scores model × layer × backend configurations for one shard.
+    """Scores model family × backend configurations for one shard.
 
     Stateless between calls: every :meth:`decide` works from the key
     slice and workload counters it is handed, so the same tuner object
@@ -238,61 +212,36 @@ class ShardTuner:
             return STATIC_REFIT_NS_PER_KEY * max(num_keys, 1)
         return WRITE_NS[backend]
 
-    def _score_model(self, data: SortedData, kind: str,
-                     layers: tuple[str | None, ...]) -> list[dict]:
-        """Score one model family across ``layers`` (see :meth:`score_read`)."""
+    def _score_model(self, data: SortedData, kind: str) -> dict:
+        """Score one model family with its R-mode layer (eq. 9)."""
         config = self.config
         model_ns = MODEL_ACCESS_NS[kind]
         model = make_model(kind, data.keys)
         _, report = tune(data, model, curve=config.curve, model_ns=model_ns)
-        rows: list[dict] = []
-        for layer in layers:
-            if layer == "R":
-                if config.curve is not None:
-                    # eq. (9) is additive in the layer constant: swap
-                    # tune()'s scalar 40 ns default for the configured
-                    # (batch-calibrated) layer cost
-                    read_ns = (report.predicted_ns_with
-                               - DEFAULT_LAYER_LOOKUP_NS
-                               + config.layer_ns)
-                else:
-                    read_ns = (model_ns + config.layer_ns
-                               + local_search_ns(report.error_after))
-            else:
-                if kind not in MODELS_WITH_BATCH_BOUNDS:
-                    # engine reality: no layer + no model bounds means
-                    # a full per-shard searchsorted per lane
-                    read_ns = model_ns + local_search_ns(
-                        len(data), config.curve)
-                elif config.curve is not None:
-                    read_ns = report.predicted_ns_without
-                else:
-                    read_ns = model_ns + local_search_ns(
-                        report.error_before)
-            rows.append({
-                "model": kind,
-                "layer": layer,
-                "error": (report.error_after if layer == "R"
-                          else report.error_before),
-                "read_ns": float(read_ns),
-            })
-        return rows
+        if config.curve is not None:
+            # eq. (9) is additive in the layer constant: swap tune()'s
+            # scalar 40 ns default for the configured (batch-calibrated)
+            # layer cost
+            read_ns = (report.predicted_ns_with - DEFAULT_LAYER_LOOKUP_NS
+                       + config.layer_ns)
+        else:
+            read_ns = (model_ns + config.layer_ns
+                       + local_search_ns(report.error_after))
+        return {"model": kind, "layer": "R", "error": report.error_after,
+                "read_ns": float(read_ns)}
 
     def score_read(self, keys: np.ndarray) -> list[dict]:
-        """Score every model × layer candidate for a key slice.
+        """Score every model family (each with an R-mode layer) for a
+        key slice.
 
         Each candidate dict carries ``model``, ``layer``, ``error`` and
-        ``read_ns`` (the eq. (9)/(10) prediction).  The §3.9 machinery
-        does the heavy lifting: per model, :func:`repro.core.tuner.tune`
-        builds the Shift-Table layer and reports pre/post-correction
-        errors; the measured latency curve is used when configured.
+        ``read_ns`` (the eq. (9) prediction).  The §3.9 machinery does
+        the heavy lifting: per model, :func:`repro.core.tuner.tune`
+        builds the Shift-Table layer and reports the post-correction
+        error; the measured latency curve is used when configured.
         """
         data = SortedData(np.asarray(keys), name="tuner")
-        candidates: list[dict] = []
-        for kind in self.config.models:
-            candidates.extend(self._score_model(data, kind,
-                                                self.config.layers))
-        return candidates
+        return [self._score_model(data, kind) for kind in MODEL_ACCESS_NS]
 
     def score_mixed(self, read_ns: float, backend: str, num_keys: int,
                     write_fraction: float) -> float:
@@ -311,17 +260,16 @@ class ShardTuner:
         current: ShardDecision | None = None,
         backends: tuple[str, ...] | None = None,
     ) -> ShardDecision:
-        """Pick model + layer + backend for one shard's key slice.
+        """Pick model family + backend for one shard's key slice.
 
         ``stats`` supplies the observed read/write mix; ``current`` is
         the shard's standing decision — when its predicted latency is
         within ``switch_margin`` of the best candidate's, the current
         configuration is kept (hysteresis), re-labelled with fresh
-        predictions.  A current config outside the configured search
-        space is still *scored* as the incumbent when the tuner knows
-        its cost constants, so hysteresis protects hand-picked configs
-        too; only genuinely unscoreable configs (custom model
-        callables, the "S" layer) switch without a margin check.
+        predictions.  A current config outside the configured backend
+        set is still *scored* as the incumbent, so hysteresis protects
+        hand-picked configs too; only an "S"-layer incumbent (which the
+        cost model cannot price) switches without a margin check.
         ``backends`` narrows the backend candidates (the build path
         pins the user-requested backend; retune searches the full
         configured set).  Raises ``ValueError`` on an empty slice.
@@ -368,10 +316,10 @@ class ShardTuner:
 
         The hysteresis check compares against the incumbent's own
         score; a hand-picked config outside the search space (e.g. a
-        ``linear`` model with the default candidate set) must still be
-        priced rather than silently losing to the first candidate.
-        Unscoreable configs (custom callables, "S" layer, unknown
-        backend) are left unscored — the margin check then skips them.
+        ``gapped`` backend when only ``static`` is configured) must
+        still be priced rather than silently losing to the first
+        candidate.  An "S"-layer incumbent is left unscored — the margin
+        check then skips it.
         """
         model = current.index.model
         layer = current.index.layer
@@ -379,12 +327,10 @@ class ShardTuner:
                and row["backend"] == current.backend
                for row in considered):
             return
-        if not (isinstance(model, str) and model in MODEL_ACCESS_NS
-                and layer in TUNABLE_LAYERS
-                and current.backend in BACKEND_KINDS):
+        if layer != "R":
             return
         data = SortedData(np.asarray(keys), name="tuner")
-        row = self._score_model(data, model, (layer,))[0]
+        row = self._score_model(data, model)
         considered.append(dict(
             row, backend=current.backend,
             mixed_ns=self.score_mixed(row["read_ns"], current.backend,
@@ -402,7 +348,7 @@ class ShardTuner:
 
         Returns a refreshed decision for the current configuration, or
         ``None`` when the switch is justified (or the current config is
-        outside the scored candidate set, e.g. a custom model callable).
+        outside the scored candidate set: an "S" layer).
         """
         for row in considered:
             same = (row["model"] == current.index.model
@@ -431,10 +377,7 @@ class ShardTuner:
         """A :class:`BackendConfig` realising ``decision``.
 
         Non-tuned knobs (payload bytes, gapped density, fenwick merge
-        threshold) carry over from ``base``.  The gapped backend always
-        runs an R-mode layer over its gapped array, so a ``layer=None``
-        decision still builds one there — the predicted scores already
-        price the backend, not the layer flag.
+        threshold) carry over from ``base``.
         """
         return replace(
             base,
@@ -445,15 +388,12 @@ class ShardTuner:
 
 
 def decision_from_config(config: BackendConfig,
-                         backend: str) -> ShardDecision | None:
+                         backend: str) -> ShardDecision:
     """The standing :class:`ShardDecision` a shard's config implies.
 
     Used by :meth:`ShardedIndex.retune` to give the tuner a ``current``
-    anchor for hysteresis.  Returns ``None`` when the config's model is
-    a custom callable the tuner cannot score.
+    anchor for hysteresis.
     """
-    if not isinstance(config.model, str):
-        return None
     return ShardDecision(
         index=IndexDecision(model=config.model, layer=config.layer,
                             layer_partitions=config.layer_partitions),

@@ -35,14 +35,15 @@ from ..core.gapped import GappedLearnedIndex
 from ..core.shift_table import ShiftTable
 from ..hardware.machine import DEFAULT_PAYLOAD_BYTES
 from ..hardware.tracker import NULL_TRACKER, NullTracker
-from ..models.factory import (
-    ModelFactory,
-    build_corrected_index,
-    model_kind_name,
-)
+from ..models.factory import build_corrected_index, check_engine_shape
+from ..models.interpolation import InterpolationModel
+from ..models.rmi import RMIModel
 
 #: Shard storage engines the sharded index can be built with.
 BACKEND_KINDS = ("static", "gapped", "fenwick")
+
+#: Model type -> served family name, for adopting a bare CorrectedIndex.
+_MODEL_KINDS = {InterpolationModel: "interpolation", RMIModel: "rmi"}
 
 
 @dataclass
@@ -79,19 +80,25 @@ class ShardStats:
 class BackendConfig:
     """How a shard (re)builds its model, layer and update machinery.
 
-    ``density`` only affects the gapped backend (fraction of slots
-    holding real keys); ``merge_threshold`` only the fenwick backend
-    (buffered updates before a merge is due).  The gapped backend always
-    uses an R-mode layer over its gapped array, so ``layer`` applies to
-    the static and fenwick backends.
+    ``model`` is a served family (``"interpolation"`` | ``"rmi"``) and
+    ``layer`` a served correction layer (``"R"`` | ``"S"``); any other
+    shape raises ``ValueError`` naming it.  ``density`` only affects the
+    gapped backend (fraction of slots holding real keys);
+    ``merge_threshold`` only the fenwick backend (buffered updates
+    before a merge is due).  The gapped backend always uses an R-mode
+    layer over its gapped array, so ``layer`` applies to the static and
+    fenwick backends.
     """
 
-    model: str | ModelFactory = "interpolation"
-    layer: str | None = "R"
+    model: str = "interpolation"
+    layer: str = "R"
     layer_partitions: int | None = None
     payload_bytes: int = DEFAULT_PAYLOAD_BYTES
     density: float = 0.75
     merge_threshold: int = 4096
+
+    def __post_init__(self) -> None:
+        check_engine_shape(self.model, self.layer)
 
 
 def config_from_index(index: CorrectedIndex,
@@ -100,12 +107,16 @@ def config_from_index(index: CorrectedIndex,
 
     When a bare :class:`CorrectedIndex` (the read-only construction
     path) is adopted as a shard backend, post-mutation rebuilds must
-    refit *its* model kind and layer mode — not the engine defaults.
-    Known model types map back to their factory names; an unknown model
-    falls back to its own class as the factory callable.
+    refit *its* model family and layer mode — not the engine defaults.
+    An index the engine does not serve (another model type, an RMI
+    with a non-linear root, no correction layer) raises ``ValueError``
+    naming it.
     """
-    model_type = type(index.model)
-    model: str | ModelFactory = model_kind_name(model_type) or model_type
+    model = index.model
+    kind = _MODEL_KINDS.get(type(model), type(model).__name__)
+    if kind == "rmi" and model.root_kind != "linear":
+        kind = f"rmi with a {model.root_kind} root"
+    layer, partitions = None, None
     if isinstance(index.layer, ShiftTable):
         layer = "R"
         partitions = (
@@ -115,10 +126,8 @@ def config_from_index(index: CorrectedIndex,
     elif isinstance(index.layer, CompactShiftTable):
         layer = "S"
         partitions = index.layer.num_partitions
-    else:
-        layer, partitions = None, None
     return replace(
-        defaults, model=model, layer=layer, layer_partitions=partitions,
+        defaults, model=kind, layer=layer, layer_partitions=partitions,
         payload_bytes=index.data.payload_bytes,
     )
 
@@ -186,14 +195,9 @@ class ShardBackend:
 
     def strategy(self) -> str:
         """Last-mile strategy label the shard's configuration implies."""
-        index = self.index
-        if isinstance(index.layer, ShiftTable):
+        if isinstance(self.index.layer, ShiftTable):
             return "R-window + bounded batch search"
-        if isinstance(index.layer, CompactShiftTable):
-            return "S-point ± expected error"
-        if index._model_bounds_batch(np.empty(0)) is not None:
-            return "model bounds + bounded batch search"
-        return "full searchsorted"
+        return "S-point ± expected error"
 
     def min_key(self):
         """Smallest live key (the shard's routing boundary)."""

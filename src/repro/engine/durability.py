@@ -400,7 +400,6 @@ def save_snapshot(
 
     root = Path(root)
     _refuse_file(root)
-    _config_to_dict(index.config)  # refuse a custom model before mkdir
     root.mkdir(parents=True, exist_ok=True)
     fd = os.open(root, os.O_RDONLY)
     try:

@@ -59,11 +59,6 @@ SEGMENT_FORMAT_NAME = "repro-shard-segment"
 
 
 def _config_to_dict(config: BackendConfig) -> dict:
-    if not isinstance(config.model, str):
-        raise IndexPersistError(
-            "cannot persist a custom model factory "
-            f"({config.model!r}); use a named model family"
-        )
     return {
         "model": config.model,
         "layer": config.layer,
@@ -243,12 +238,7 @@ def encode_shard_state(
     """
     if shard is None:
         return None, {}
-    try:
-        entry, arrays = _encode_shard(shard)
-    except TypeError as exc:
-        raise IndexPersistError(
-            f"shard is not serialisable: {exc}"
-        ) from exc
+    entry, arrays = _encode_shard(shard)
     return entry, {k: np.array(v, copy=True) for k, v in arrays.items()}
 
 
@@ -289,13 +279,17 @@ def load_shard_segment(
 
     Returns ``(segment manifest, live shard backend or None)`` after
     checksum verification; raises :class:`IndexPersistError` for
-    corrupted, truncated or non-segment files.
+    corrupted, truncated or non-segment files, and for a segment naming
+    a model family or layer the engine does not serve.
     """
     manifest, arrays = read_archive(path, SEGMENT_FORMAT_NAME)
     entry = manifest.get("entry")
     if entry is None:
         return manifest, None
-    return manifest, _decode_shard(entry, arrays)
+    try:
+        return manifest, _decode_shard(entry, arrays)
+    except ValueError as exc:
+        raise IndexPersistError(f"{path} is refused: {exc}") from exc
 
 
 __all__ = [

@@ -58,7 +58,6 @@ import numpy as np
 from ..core.corrected_index import CorrectedIndex
 from ..core.records import normalize_query_dtype
 from ..hardware.machine import DEFAULT_PAYLOAD_BYTES
-from ..models.factory import ModelFactory
 from .backends import (
     BACKEND_KINDS,
     BackendConfig,
@@ -67,9 +66,6 @@ from .backends import (
     config_from_index,
     make_backend,
 )
-
-#: Correction-layer modes a shard can be built with.
-LAYER_MODES = ("R", "S", None)
 
 
 def _as_tuner(auto_tune):
@@ -220,8 +216,8 @@ class ShardedIndex:
         cls,
         keys: np.ndarray,
         num_shards: int,
-        model: str | ModelFactory = "interpolation",
-        layer: str | None = "R",
+        model: str = "interpolation",
+        layer: str = "R",
         layer_partitions: int | None = None,
         payload_bytes: int = DEFAULT_PAYLOAD_BYTES,
         name: str = "sharded",
@@ -232,12 +228,12 @@ class ShardedIndex:
     ) -> "ShardedIndex":
         """Partition ``keys`` and fit a backend (model + layer) per shard.
 
-        ``model`` is a factory name (see
-        :data:`~repro.models.factory.MODEL_FACTORIES`) or a callable
-        ``keys -> CDFModel``; ``layer`` selects the correction mode:
-        ``"R"`` (guaranteed-window ShiftTable), ``"S"`` (compact layer)
-        or ``None`` (bare model); ``layer_partitions`` is the paper's
-        ``M`` per shard (default ``M = N_shard``).  ``backend`` selects
+        ``model`` is a served family, ``"interpolation"`` or ``"rmi"``
+        (:data:`~repro.models.factory.MODEL_FACTORIES`); ``layer``
+        selects the correction mode: ``"R"`` (guaranteed-window
+        ShiftTable) or ``"S"`` (compact layer) — every engine shard is
+        corrected; ``layer_partitions`` is the paper's ``M`` per shard
+        (default ``M = N_shard``).  ``backend`` selects
         the shard storage engine (:data:`~repro.engine.backends.BACKEND_KINDS`):
         ``"static"`` rebuilds on every write, ``"gapped"`` keeps
         ALEX-style gaps, ``"fenwick"`` buffers deltas §6-style.
@@ -245,21 +241,20 @@ class ShardedIndex:
         ``auto_tune`` (bool, :class:`~repro.engine.autotune.AutoTuneConfig`
         or :class:`~repro.engine.autotune.ShardTuner`) runs the §3.9
         cost model per shard at build time: each shard large enough to
-        matter gets the model family and layer mode the tuner predicts
-        fastest for *its* slice of the key distribution, instead of the
+        matter gets the model family the tuner predicts fastest (with an
+        R-mode layer) for *its* slice of the key distribution, instead of the
         global ``model``/``layer`` arguments.  The storage ``backend``
         stays as requested at build time — no workload has been
         observed yet; :meth:`retune` revisits it (and everything else)
         once per-shard read/write counters exist.
 
-        Raises ``ValueError`` for empty/multi-dimensional keys or an
-        unknown layer/backend/model name.
+        Raises ``ValueError`` for empty/multi-dimensional keys, an
+        unknown backend, or a model/layer the engine does not serve
+        (named in the message).
         """
         keys = np.asarray(keys)
         if keys.ndim != 1 or len(keys) == 0:
             raise ValueError("keys must be a non-empty 1-d sorted array")
-        if layer not in LAYER_MODES:
-            raise ValueError(f"layer must be one of {LAYER_MODES}, got {layer!r}")
         if backend not in BACKEND_KINDS:
             raise ValueError(
                 f"backend must be one of {BACKEND_KINDS}, got {backend!r}"
@@ -679,9 +674,9 @@ class ShardedIndex:
         tuner's ``switch_margin`` is rebuilt in place — model family,
         layer mode and storage backend can all change.  Hand-picked
         configs outside the tuner's search space are scored as the
-        incumbent and enjoy the same hysteresis; only configs the
-        tuner cannot price (custom model callables, "S" layers) are
-        rebuilt without a margin check.  Afterwards a
+        incumbent and enjoy the same hysteresis; only "S"-layer shards,
+        which the tuner cannot price, are rebuilt without a margin
+        check.  Afterwards a
         merge pass coalesces shards that have shrunk below
         ``merge_fraction`` of the build-time target, so the tuner can
         resize the shard set downward as well as upward (splits).
@@ -707,7 +702,7 @@ class ShardedIndex:
                 current = decision_from_config(shard.config, shard.kind)
                 decision = tuner.decide(shard.keys(), shard.stats,
                                         current=current)
-                if current is not None and decision.label == current.label:
+                if decision.label == current.label:
                     shard.decision_label = decision.label
                     actions.append({"shard": s, "action": "keep",
                                     "label": decision.label,

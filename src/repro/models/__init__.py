@@ -16,7 +16,6 @@ from .base import (
 from .factory import (
     MODEL_FACTORIES,
     IndexDecision,
-    ModelFactory,
     build_corrected_index,
     make_model,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "shrinking_cone_segments",
     "MODEL_FACTORIES",
     "IndexDecision",
-    "ModelFactory",
     "build_corrected_index",
     "make_model",
     "predicted_index",

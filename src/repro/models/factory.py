@@ -1,30 +1,29 @@
-"""Shard-local model fitting: build a model for an arbitrary key slice.
+"""Shard-local model fitting: the engine's two served index shapes.
 
 The sharded engine fits one CDF model per shard, so model construction
 has to work for *any* slice size — from a single key up to millions —
-without the caller hand-tuning hyper-parameters per shard.  Each builder
-here scales its capacity knobs to the slice it is given (an RMI with
-4096 leaves over a 50-key shard is pure waste; a 1024-bucket histogram
-over 10 keys is ill-formed), which is exactly the per-partition tuning
-argument of the Google-scale learned-index follow-ups.
+without the caller hand-tuning hyper-parameters per shard.  The RMI
+builder scales its leaf count to the slice it is given (4096 leaves
+over a 50-key shard is pure waste), which is exactly the per-partition
+tuning argument of the Google-scale learned-index follow-ups.
+
+The engine serves two model families, always corrected: interpolation
+(the paper's cheap model, the default) and a linear-root RMI for skewed
+slices where the interpolation window blows up; the layer is ``"R"``
+(guaranteed-window ShiftTable) or ``"S"`` (compact layer).  The paper
+harness keeps every family and the bare model: it assembles
+:class:`~repro.core.corrected_index.CorrectedIndex` objects directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .base import CDFModel
-from .histogram import HistogramModel
 from .interpolation import InterpolationModel
-from .linear import LinearModel
-from .pgm import PGMModel
-from .radix_spline import RadixSplineModel
 from .rmi import RMIModel
-
-ModelFactory = Callable[[np.ndarray], CDFModel]
 
 
 def _rmi_for(keys: np.ndarray) -> RMIModel:
@@ -33,93 +32,61 @@ def _rmi_for(keys: np.ndarray) -> RMIModel:
     return RMIModel(keys, num_leaves=leaves)
 
 
-def _histogram_for(keys: np.ndarray) -> HistogramModel:
-    buckets = int(min(1024, max(1, len(keys) // 4)))
-    return HistogramModel(keys, buckets=buckets)
-
-
-def _radix_spline_for(keys: np.ndarray) -> RadixSplineModel:
-    # radix table sized to the shard: ~1 prefix per 4 keys, 2^18 cap
-    bits = max(1, min(18, int(max(len(keys) // 4, 2)).bit_length()))
-    return RadixSplineModel(keys, epsilon=32, radix_bits=bits)
-
-
-MODEL_FACTORIES: dict[str, ModelFactory] = {
+#: Model families the engine serves, by name.
+MODEL_FACTORIES = {
     "interpolation": InterpolationModel,
-    "linear": LinearModel,
     "rmi": _rmi_for,
-    "pgm": PGMModel,
-    "radix_spline": _radix_spline_for,
-    "histogram": _histogram_for,
 }
 
-#: Scaled factories (rmi/histogram/radix_spline) wrap their model type,
-#: so the reverse mapping cannot come from :data:`MODEL_FACTORIES` alone.
-_TYPE_TO_KIND = {
-    "RMIModel": "rmi",
-    "HistogramModel": "histogram",
-    "RadixSplineModel": "radix_spline",
-}
+#: Correction layers the engine serves: every engine shard is corrected.
+LAYER_MODES = ("R", "S")
 
 
-def model_kind_name(model_type: type) -> str | None:
-    """The factory name that (re)builds ``model_type`` instances.
-
-    The inverse of :data:`MODEL_FACTORIES` (covering the scaled
-    factories that wrap their type); ``None`` for model types no named
-    factory produces — callers keep the type itself as a callable
-    factory in that case.
-    """
-    for kind_name, candidate in MODEL_FACTORIES.items():
-        if candidate is model_type:
-            return kind_name
-    return _TYPE_TO_KIND.get(model_type.__name__)
+def check_engine_shape(model, layer="R") -> None:
+    """Raise ``ValueError`` naming ``model``/``layer`` unless the engine
+    serves that shape (a family of :data:`MODEL_FACTORIES` and a layer
+    of :data:`LAYER_MODES`)."""
+    if not isinstance(model, str) or model not in MODEL_FACTORIES:
+        raise ValueError(
+            f"model {model!r} is not served by the engine; served "
+            f"families: {tuple(MODEL_FACTORIES)}"
+        )
+    if layer not in LAYER_MODES:
+        raise ValueError(
+            f"layer {layer!r} is not served by the engine; served "
+            f"layers: {LAYER_MODES}"
+        )
 
 
 @dataclass(frozen=True)
 class IndexDecision:
     """A tuner's choice of model family and correction layer for one index.
 
-    The value a cost-model tuner (``core/tuner``, ``engine/autotune``)
-    hands to :func:`build_corrected_index`: ``model`` is a factory name
-    from :data:`MODEL_FACTORIES` or a ``keys -> CDFModel`` callable,
-    ``layer`` is ``"R"`` (guaranteed-window ShiftTable), ``"S"``
-    (compact layer) or ``None`` (bare model), and ``layer_partitions``
-    is the paper's ``M`` (``None`` means ``M = N``).
+    The value the per-shard tuner (``engine/autotune``) hands to
+    :func:`build_corrected_index`: ``model`` is a name from
+    :data:`MODEL_FACTORIES`, ``layer`` one of :data:`LAYER_MODES`, and
+    ``layer_partitions`` is the paper's ``M`` (``None`` means ``M = N``).
     """
 
-    model: str | ModelFactory = "interpolation"
-    layer: str | None = "R"
+    model: str = "interpolation"
+    layer: str = "R"
     layer_partitions: int | None = None
 
     def label(self) -> str:
         """Compact human-readable form, e.g. ``"rmi+R"`` (plan columns)."""
-        model = self.model if isinstance(self.model, str) else getattr(
-            self.model, "__name__", "custom")
-        return f"{model}+{self.layer or 'none'}"
+        return f"{self.model}+{self.layer}"
 
 
-def make_model(kind: str | ModelFactory, keys: np.ndarray) -> CDFModel:
-    """Fit a model of ``kind`` to a sorted key slice (shard-local).
-
-    ``kind`` is a factory name from :data:`MODEL_FACTORIES` or any
-    callable ``keys -> CDFModel``.
-    """
-    if callable(kind):
-        return kind(keys)
-    try:
-        factory = MODEL_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown model kind {kind!r}; known: {sorted(MODEL_FACTORIES)}"
-        ) from None
-    return factory(keys)
+def make_model(kind: str, keys: np.ndarray) -> CDFModel:
+    """Fit a model of family ``kind`` to a sorted key slice (shard-local)."""
+    check_engine_shape(kind)
+    return MODEL_FACTORIES[kind](keys)
 
 
 def build_corrected_index(
     keys: np.ndarray,
-    model: str | ModelFactory | IndexDecision = "interpolation",
-    layer: str | None = "R",
+    model: str | IndexDecision = "interpolation",
+    layer: str = "R",
     layer_partitions: int | None = None,
     payload_bytes: int | None = None,
     name: str = "index",
@@ -129,13 +96,12 @@ def build_corrected_index(
     The single construction path shared by :meth:`ShardedIndex.build`
     and the updatable shard backends, so a shard rebuilt after updates
     is configured exactly like the shard built at load time.  ``layer``
-    is ``"R"`` (guaranteed-window ShiftTable), ``"S"`` (compact layer)
-    or ``None`` (bare model).
+    is ``"R"`` (guaranteed-window ShiftTable) or ``"S"`` (compact layer).
 
-    ``model`` may also be an :class:`IndexDecision` — the output of a
+    ``model`` may also be an :class:`IndexDecision` — the output of the
     cost-model tuner — in which case its model/layer/partition choices
     override the ``layer``/``layer_partitions`` arguments.  Raises
-    ``ValueError`` for an unknown layer mode or model name.
+    ``ValueError`` for a shape the engine does not serve.
     """
     if isinstance(model, IndexDecision):
         layer = model.layer
@@ -149,16 +115,12 @@ def build_corrected_index(
     from ..core.shift_table import ShiftTable
     from ..hardware.machine import DEFAULT_PAYLOAD_BYTES
 
-    if layer not in ("R", "S", None):
-        raise ValueError(f"layer must be 'R', 'S' or None, got {layer!r}")
+    check_engine_shape(model, layer)
     keys = np.asarray(keys)
     if payload_bytes is None:
         payload_bytes = DEFAULT_PAYLOAD_BYTES
     data = SortedData(keys, payload_bytes=payload_bytes, name=name)
-    fitted = make_model(model, keys)
-    built = None
-    if layer == "R":
-        built = ShiftTable.build(keys, fitted, layer_partitions)
-    elif layer == "S":
-        built = CompactShiftTable.build(keys, fitted, layer_partitions)
-    return CorrectedIndex(data, fitted, built)
+    fitted = MODEL_FACTORIES[model](keys)
+    table = ShiftTable if layer == "R" else CompactShiftTable
+    return CorrectedIndex(data, fitted, table.build(keys, fitted,
+                                                    layer_partitions))

@@ -77,7 +77,13 @@ class RMIModel(CDFModel):
             step = max(n // cubic_sample, 1)
             t = (x[::step] - self._min) / span
             target = y[::step] * (leaves / n)
-            self._root_params = tuple(np.polyfit(t, target, deg=3))
+            # a cubic needs 4 distinct points: fewer (all-equal keys give
+            # one, the span == 0 case) fit a lower degree, zero-padded;
+            # full=True returns the least-squares fit of a numerically
+            # rank-deficient (clustered) sample without a RankWarning
+            deg = min(3, len(np.unique(t)) - 1)
+            coeffs = np.polyfit(t, target, deg=deg, full=True)[0]
+            self._root_params = (0.0,) * (3 - deg) + tuple(coeffs)
             self._span = span
         else:  # radix
             span = int(data[-1]) - int(data[0])

@@ -13,6 +13,24 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
+from repro.models import (
+    MODEL_FACTORIES,
+    HistogramModel,
+    LinearModel,
+    PGMModel,
+    RadixSplineModel,
+)
+
+#: Every model family of the paper harness, by name.  The engine serves
+#: the two of ``MODEL_FACTORIES`` and refuses the others by name.
+PAPER_MODELS = {
+    **MODEL_FACTORIES,
+    "linear": LinearModel,
+    "pgm": PGMModel,
+    "radix_spline": lambda keys: RadixSplineModel(keys, radix_bits=8),
+    "histogram": lambda keys: HistogramModel(keys, max(1, len(keys) // 4)),
+}
+
 
 def tree_bytes(root) -> dict[str, bytes]:
     """Every file under ``root`` with its bytes (a byte-identity probe)."""

@@ -43,11 +43,11 @@ def keys():
 def test_config_validates_every_field():
     with pytest.raises(ValueError, match="num_shards"):
         IndexConfig(num_shards=0)
-    with pytest.raises(ValueError, match="model"):
+    with pytest.raises(ValueError, match="'no-such-model' is not served"):
         IndexConfig(model="no-such-model")
-    with pytest.raises(ValueError, match="model family name"):
+    with pytest.raises(ValueError, match="<lambda>.* is not served"):
         IndexConfig(model=lambda ks: ks)  # type: ignore[arg-type]
-    with pytest.raises(ValueError, match="layer"):
+    with pytest.raises(ValueError, match="layer 'Q' is not served"):
         IndexConfig(layer="Q")
     with pytest.raises(ValueError, match="backend"):
         IndexConfig(backend="btree")
@@ -78,8 +78,8 @@ def test_presets_resolve_and_accept_overrides(name):
 @pytest.mark.parametrize("config", [
     IndexConfig(),
     IndexConfig.from_preset("mixed", num_shards=5),
-    IndexConfig(auto_tune=AutoTuneConfig(min_shard_keys=128), layer=None,
-                backend="fenwick", merge_threshold=64),
+    IndexConfig(auto_tune=AutoTuneConfig(min_shard_keys=128), layer="S",
+                model="rmi", backend="fenwick", merge_threshold=64),
 ])
 def test_config_dict_round_trip(config):
     payload = config.to_dict()

@@ -21,6 +21,7 @@ from repro.engine import (
     ShardedIndex,
     decision_from_config,
 )
+from repro.engine.autotune import MODEL_ACCESS_NS
 from repro.models.factory import IndexDecision, build_corrected_index
 
 from helpers import sorted_uint_arrays
@@ -57,14 +58,15 @@ def assert_oracle_exact(index: ShardedIndex, queries: np.ndarray) -> None:
 # the tuner itself
 # ----------------------------------------------------------------------
 def test_autotune_config_rejects_bad_spaces():
-    with pytest.raises(ValueError):
-        AutoTuneConfig(layers=("S",))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'lsm'"):
         AutoTuneConfig(backends=("lsm",))
-    with pytest.raises(ValueError):
-        AutoTuneConfig(models=("no-such-model",))
-    with pytest.raises(ValueError):
-        AutoTuneConfig(models=())
+    with pytest.raises(ValueError, match="non-empty"):
+        AutoTuneConfig(backends=())
+    # the model/layer search space is fixed: two families, R layer
+    saved = AutoTuneConfig().to_dict()
+    assert "models" not in saved and "layers" not in saved
+    old = {**saved, "models": ["radix_spline"], "layers": [None]}
+    assert AutoTuneConfig.from_dict(old) == AutoTuneConfig()
 
 
 def test_decide_rejects_empty_slice():
@@ -81,8 +83,7 @@ def test_decision_is_never_costed_worse_than_alternatives():
         scores = [row["mixed_ns"] for row in decision.considered]
         assert decision.predicted_ns == min(scores)
         assert len(decision.considered) == (
-            len(tuner.config.models) * len(tuner.config.layers)
-            * len(tuner.config.backends)
+            len(MODEL_ACCESS_NS) * len(tuner.config.backends)
         )
 
 
@@ -129,14 +130,21 @@ def test_hysteresis_keeps_current_config_within_margin():
 
 
 def test_hysteresis_protects_configs_outside_the_search_space():
-    """A hand-picked model the default candidate set does not include
-    (linear) is scored as the incumbent — retune must not churn it."""
-    keys = np.arange(0, 8_000, 2, dtype=np.uint64)  # linear-friendly
-    index = ShardedIndex.build(keys, 2, model="linear")
-    actions = index.retune()
-    assert all(a["action"] == "keep" for a in actions)
-    for s in index._nonempty:
-        assert index.shards[int(s)].config.model == "linear"
+    """A hand-picked backend the configured candidate set does not
+    include (gapped, with only static searched) is scored as the
+    incumbent — retune must not churn it while it is within margin."""
+    keys = np.arange(0, 8_000, 2, dtype=np.uint64)
+    index = ShardedIndex.build(keys, 2, backend="gapped")
+    tuner = ShardTuner(AutoTuneConfig(backends=("static",),
+                                      switch_margin=0.5))
+    actions = index.retune(tuner)
+    assert len(actions) == 2
+    for action in actions:
+        assert action["action"] == "keep"
+        assert index.shards[action["shard"]].kind == "gapped"
+        incumbent = [row for row in action["decision"].considered
+                     if row["backend"] == "gapped"]
+        assert len(incumbent) == 1  # priced, not skipped
     assert_oracle_exact(index, np.arange(0, 8_100, 3, dtype=np.uint64))
 
 
@@ -154,22 +162,22 @@ def test_curve_mode_honours_configured_layer_ns():
         for row in tuner.decide(keys).considered
     }
     cheap_ns, dear_ns = ns_of(cheap), ns_of(dear)
+    assert {layer for _, layer in cheap_ns} == {"R"}
     for key in cheap_ns:
-        model, layer = key
-        if layer == "R":
-            assert dear_ns[key] == pytest.approx(cheap_ns[key] + 500.0)
-        else:  # layer-off candidates are unaffected by the layer price
-            assert dear_ns[key] == pytest.approx(cheap_ns[key])
+        assert dear_ns[key] == pytest.approx(cheap_ns[key] + 500.0)
 
 
 def test_index_decision_feeds_build_corrected_index():
     keys = np.sort(np.random.default_rng(0).integers(
         0, 1 << 30, 2_000).astype(np.uint64))
-    decision = IndexDecision(model="rmi", layer=None)
+    decision = IndexDecision(model="rmi", layer="S", layer_partitions=500)
     index = build_corrected_index(keys, decision)
-    assert index.layer is None
+    assert type(index.layer).__name__ == "CompactShiftTable"
+    assert index.layer.num_partitions == 500
     assert type(index.model).__name__ == "RMIModel"
-    assert decision.label() == "rmi+none"
+    assert decision.label() == "rmi+S"
+    with pytest.raises(ValueError, match="layer None"):
+        build_corrected_index(keys, IndexDecision(model="rmi", layer=None))
 
 
 # ----------------------------------------------------------------------

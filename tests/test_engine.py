@@ -3,35 +3,65 @@
 The acceptance bar for the engine is exactness, not plausibility: every
 position a :class:`BatchExecutor` returns must be bit-identical to what
 a per-query ``CorrectedIndex.lookup`` loop over the *unsharded* index
-produces — for every model, both correction modes and none, duplicate
-runs, and queries outside the key domain.
+produces — for both served model families, both correction modes,
+duplicate runs, and queries outside the key domain.  Every other shape
+of the paper harness (four more families, the bare model) still answers
+exactly through ``CorrectedIndex`` and is refused by name at every
+engine entry point.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro import IndexConfig
 from repro.core.compact import CompactShiftTable
 from repro.core.corrected_index import CorrectedIndex
 from repro.core.range_query import RangeQueryEngine
 from repro.core.records import SortedData
+from repro.core.serialize import read_archive, write_archive
 from repro.core.shift_table import ShiftTable
-from repro.engine import BatchExecutor, ShardedIndex
-from repro.models import make_model
+from repro.engine import LAYER_MODES, BatchExecutor, ShardedIndex
+from repro.engine.durability import save_snapshot
+from repro.engine.persist import SEGMENT_FORMAT_NAME
+from repro.models import (
+    MODEL_FACTORIES,
+    InterpolationModel,
+    PGMModel,
+    RMIModel,
+    make_model,
+)
 
-from helpers import queries_for, sorted_uint_arrays
+from helpers import PAPER_MODELS, queries_for, sorted_uint_arrays
 
-MODELS = ["linear", "rmi", "pgm", "radix_spline", "histogram", "interpolation"]
-LAYERS = ["R", "S", None]
+#: the engine's shapes: two model families, always corrected
+MODELS = list(MODEL_FACTORIES)
+LAYERS = list(LAYER_MODES)
+#: every shape of the paper harness, served or not
+PAPER_MODEL_NAMES = ["linear", "rmi", "pgm", "radix_spline", "histogram",
+                     "interpolation"]
+PAPER_LAYERS = ["R", "S", None]
+
+
+def unserved_name(model_kind: str, layer_mode) -> str | None:
+    """The part of a shape the engine refuses (``None``: served)."""
+    if model_kind not in MODELS:
+        return repr(model_kind)
+    if layer_mode not in LAYERS:
+        return repr(layer_mode)
+    return None
 
 
 def scalar_reference(keys: np.ndarray, model_kind: str, layer_mode,
                      queries: np.ndarray) -> np.ndarray:
     """Per-query loop over one unsharded CorrectedIndex (ground truth)."""
-    model = make_model(model_kind, keys)
+    model = PAPER_MODELS[model_kind](keys)
     if layer_mode == "R":
         layer = ShiftTable.build(keys, model)
     elif layer_mode == "S":
@@ -54,13 +84,22 @@ def duplicate_heavy_keys(seed: int, n: int = 3_000) -> np.ndarray:
     return keys
 
 
-@pytest.mark.parametrize("model_kind", MODELS)
-@pytest.mark.parametrize("layer_mode", LAYERS)
+@pytest.mark.parametrize("model_kind", PAPER_MODEL_NAMES)
+@pytest.mark.parametrize("layer_mode", PAPER_LAYERS)
 @pytest.mark.parametrize("num_shards", [1, 5])
 def test_point_lookups_match_scalar_loop(model_kind, layer_mode, num_shards):
     keys = duplicate_heavy_keys(seed=7)
     queries = queries_for(keys, rng_seed=1, count=200)
     want = scalar_reference(keys, model_kind, layer_mode, queries)
+    unserved = unserved_name(model_kind, layer_mode)
+    if unserved is not None:
+        # the paper harness answers every shape; the engine refuses it
+        assert np.array_equal(want, np.searchsorted(keys, queries,
+                                                    side="left"))
+        with pytest.raises(ValueError, match=re.escape(unserved)):
+            ShardedIndex.build(keys, num_shards, model=model_kind,
+                               layer=layer_mode)
+        return
 
     index = ShardedIndex.build(keys, num_shards, model=model_kind,
                                layer=layer_mode)
@@ -70,7 +109,7 @@ def test_point_lookups_match_scalar_loop(model_kind, layer_mode, num_shards):
     assert np.array_equal(got, np.searchsorted(keys, queries, side="left"))
 
 
-@pytest.mark.parametrize("layer_mode", LAYERS)
+@pytest.mark.parametrize("layer_mode", PAPER_LAYERS)
 def test_range_queries_match_scalar_engine(layer_mode):
     keys = duplicate_heavy_keys(seed=11)
     rng = np.random.default_rng(2)
@@ -89,6 +128,13 @@ def test_range_queries_match_scalar_engine(layer_mode):
         dtype=np.int64,
     )
     want_scans = [scalar_engine.scan(lo, hi) for lo, hi in zip(lows, highs)]
+    if layer_mode is None:
+        # the bare model answers ranges in the paper harness only
+        assert np.array_equal(want_counts, np.maximum(
+            np.searchsorted(keys, highs) - np.searchsorted(keys, lows), 0))
+        with pytest.raises(ValueError, match="layer None"):
+            ShardedIndex.build(keys, 6, layer=None)
+        return
 
     executor = BatchExecutor(
         ShardedIndex.build(keys, 6, model="interpolation", layer=layer_mode)
@@ -223,3 +269,75 @@ def test_executor_accepts_bare_corrected_index():
     queries = queries_for(keys, rng_seed=17, count=80)
     got = BatchExecutor(index).lookup_batch(queries)
     assert np.array_equal(got, np.searchsorted(keys, queries, side="left"))
+
+
+# ----------------------------------------------------------------------
+# the engine path refuses every shape it does not serve, by name
+# ----------------------------------------------------------------------
+REFUSAL_KEYS = np.arange(2_000, dtype=np.uint64) * 5
+
+
+def _snapshot_with_segment(tmp_path, edit):
+    """A saved snapshot whose first segment is rewritten by ``edit`` and
+    re-sealed with ``write_archive``: its checksum is valid, so a
+    refusal is by name, not by checksum."""
+    path = tmp_path / "snap"
+    save_snapshot(ShardedIndex.build(REFUSAL_KEYS, 2), path)
+    segment = sorted((path / "segments").iterdir())[0]
+    manifest, arrays = read_archive(segment, SEGMENT_FORMAT_NAME)
+    body = {k: v for k, v in manifest.items()
+            if k not in ("format", "format_version")}
+    edit(body["entry"])
+    write_archive(segment, SEGMENT_FORMAT_NAME, body, arrays)
+    return path
+
+
+def _names_pgm(entry):
+    entry["config"]["model"] = entry["model"]["kind"] = "pgm"
+
+
+def _drops_the_layer(entry):
+    entry["config"]["layer"] = entry["layer"]["kind"] = None
+
+
+def _adopt(model, layer):
+    data = SortedData(REFUSAL_KEYS)
+    return BatchExecutor(CorrectedIndex(data, model, layer))
+
+
+_PGM = PGMModel(REFUSAL_KEYS)
+_DICT = IndexConfig().to_dict()
+
+
+@pytest.mark.parametrize("attempt, name", [
+    pytest.param(lambda tmp: IndexConfig(model="pgm"), "'pgm'",
+                 id="config-model"),
+    pytest.param(lambda tmp: IndexConfig(layer=None), "layer None",
+                 id="config-layer"),
+    pytest.param(lambda tmp: IndexConfig.from_dict({**_DICT, "model": "pgm"}),
+                 "'pgm'", id="config-dict-model"),
+    pytest.param(lambda tmp: IndexConfig.from_dict({**_DICT, "layer": None}),
+                 "layer None", id="config-dict-layer"),
+    pytest.param(lambda tmp: ShardedIndex.build(REFUSAL_KEYS, 2,
+                                                model=InterpolationModel),
+                 "InterpolationModel", id="build-callable"),
+    pytest.param(lambda tmp: ShardedIndex.build(REFUSAL_KEYS, 2, layer=None),
+                 "layer None", id="build-bare"),
+    pytest.param(lambda tmp: _adopt(_PGM, ShiftTable.build(REFUSAL_KEYS,
+                                                           _PGM)),
+                 "PGMModel", id="adopt-pgm"),
+    pytest.param(lambda tmp: _adopt(RMIModel(REFUSAL_KEYS, 8, root="cubic"),
+                                    None),
+                 "rmi with a cubic root", id="adopt-cubic-rmi"),
+    pytest.param(lambda tmp: _adopt(InterpolationModel(REFUSAL_KEYS), None),
+                 "layer None", id="adopt-bare"),
+    pytest.param(lambda tmp: repro.open(_snapshot_with_segment(tmp,
+                                                               _names_pgm)),
+                 "'pgm'", id="open-pgm-segment"),
+    pytest.param(lambda tmp: repro.open(
+        _snapshot_with_segment(tmp, _drops_the_layer)),
+                 "layer None", id="open-null-layer-segment"),
+])
+def test_engine_refuses_unserved_shapes_by_name(tmp_path, attempt, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        attempt(tmp_path)

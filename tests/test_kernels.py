@@ -8,9 +8,11 @@ positions — including the §3.8 edge-validation fallbacks on adversarial
 windows, where ``np.searchsorted`` is the oracle.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compact import CompactShiftTable
@@ -153,7 +155,7 @@ def test_traced_batch_matches_untraced_results_on_sharded_index():
 
 def test_untraced_executor_charges_nothing():
     keys = np.arange(100, dtype=np.uint64)
-    index = CorrectedIndex(SortedData(keys), InterpolationModel(keys))
+    index = ShardedIndex.build(keys, 1)
     hierarchy = MemoryHierarchy(MachineSpec())
     executor = BatchExecutor(index)  # no tracker installed
     executor.lookup_batch(np.array([5, 50], dtype=np.uint64))
@@ -224,14 +226,33 @@ def test_kernel_parity_property_interpolation_window(keys, seed):
 @settings(max_examples=15, deadline=None)
 @given(keys=sorted_uint_arrays(min_size=4, max_size=150), seed=st.integers(0, 2**16))
 def test_kernel_parity_property_rmi_point_correction(keys, seed):
-    # constant-key data breaks numpy's polyfit (pre-existing cubic-RMI
-    # build limitation, unrelated to the pipeline under test)
-    assume(keys[0] != keys[-1])
     index = _make_index(keys, "rmi-cubic", "S")
     queries = queries_for(keys, rng_seed=seed, count=32)
     np.testing.assert_array_equal(
         index.lookup_batch_vectorized(queries), scalar_oracle(index, queries)
     )
+
+
+@pytest.mark.parametrize("keys", [
+    np.full(10, 5, dtype=np.uint64),  # one distinct point: a constant
+    np.asarray([10, 10, 20, 20, 30], dtype=np.uint64),  # three points
+    # five distinct points, numerically two: rank-deficient in float64
+    np.asarray([0, 1, 2, 3, 1 << 40], dtype=np.uint64),
+], ids=["all-equal", "clustered", "far-clusters"])
+def test_cubic_rmi_root_fits_degenerate_keys_silently(keys):
+    """A cubic root over fewer than four distinct (or numerically
+    clustered) points fits a lower degree instead of raising
+    ``LinAlgError`` or warning ``RankWarning``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = RMIModel(keys, num_leaves=4, root="cubic")
+    index = CorrectedIndex(SortedData(keys), model,
+                           ShiftTable.build(keys, model))
+    queries = np.concatenate([keys, keys + 1, np.asarray([0], np.uint64)])
+    want = np.searchsorted(keys, queries, side="left")
+    np.testing.assert_array_equal(index.lookup_batch_vectorized(queries),
+                                  want)
+    np.testing.assert_array_equal(scalar_oracle(index, queries), want)
 
 
 # ----------------------------------------------------------------------

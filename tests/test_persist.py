@@ -3,7 +3,7 @@ atomic, and broken or hostile artifacts are rejected loudly.
 
 A saved index is one checkpoint generation (``MANIFEST.json`` +
 ``segments/``, no WAL).  Round-trip properties run across all three
-shard backends and every serialisable model family, with writes applied
+shard backends and both served model families, with writes applied
 first so the segments carry pending deltas/tombstones; corruption,
 version mismatch, not-an-index paths and manifests that point outside
 the directory must raise :class:`IndexPersistError` (directory-level
@@ -43,9 +43,7 @@ from repro.engine.durability import (
     replay_directory,
     save_snapshot,
 )
-from repro.models.factory import make_model
-
-from helpers import queries_for, sorted_uint_arrays, tree_bytes
+from helpers import PAPER_MODELS, queries_for, sorted_uint_arrays, tree_bytes
 
 BACKENDS = ("static", "gapped", "fenwick")
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -120,22 +118,34 @@ def test_round_trip_with_pending_writes(tmp_path, backend):
     assert_equivalent(index, loaded, rng)
 
 
-@pytest.mark.parametrize("model", SERIALIZABLE_MODELS)
+@pytest.mark.parametrize("model", list(PAPER_MODELS))
 def test_round_trip_every_model_family(tmp_path, model):
     rng = np.random.default_rng(11)
     keys = np.sort(rng.integers(0, 1 << 40, 6_000, dtype=np.uint64))
+    if model not in SERIALIZABLE_MODELS:
+        # only the engine's families reach a snapshot at all
+        with pytest.raises(ValueError, match=repr(model)):
+            make_index(keys, "static", model=model, num_shards=3)
+        return
     index = make_index(keys, "static", model=model, num_shards=3)
     path = tmp_path / "engine.npz"
     save_snapshot(index, path)
     assert_equivalent(index, load_snapshot(path), rng)
 
 
-@pytest.mark.parametrize("model", SERIALIZABLE_MODELS)
+@pytest.mark.parametrize("model", list(PAPER_MODELS))
 def test_model_state_codec_is_bit_identical(model):
     rng = np.random.default_rng(3)
     keys = np.sort(rng.integers(0, 1 << 40, 5_000, dtype=np.uint64))
     keys[100:140] = keys[100]  # duplicate run
-    fitted = make_model(model, keys)
+    fitted = PAPER_MODELS[model](keys)
+    if model not in SERIALIZABLE_MODELS:
+        # the paper harness's other families have no codec either way
+        with pytest.raises(TypeError, match=type(fitted).__name__):
+            model_to_state(fitted)
+        with pytest.raises(ValueError, match=repr(model)):
+            model_from_state({"kind": model}, {})
+        return
     restored = model_from_state(*model_to_state(fitted))
     probes = np.concatenate([
         keys[::37], keys[::41] + 1, np.asarray([0, 1 << 41], dtype=np.uint64)
@@ -367,15 +377,16 @@ def test_save_into_a_live_durable_directory_is_refused_by_name(tmp_path):
 
 
 def test_custom_model_callable_is_rejected_at_save(tmp_path):
+    """A custom model callable never reaches a snapshot: the engine
+    refuses it when the index is built, so nothing can be saved."""
     from repro.models.interpolation import InterpolationModel
 
     keys = np.arange(1_000, dtype=np.uint64) * 7
-    index = ShardedIndex.build(
-        keys, 2, model=lambda ks: InterpolationModel(ks), name="custom"
-    )
-    with pytest.raises(IndexPersistError, match="custom model"):
-        save_snapshot(index, tmp_path / "nope.npz")
-    assert not (tmp_path / "nope.npz").exists()
+    with pytest.raises(ValueError, match="<lambda>.* is not served"):
+        ShardedIndex.build(
+            keys, 2, model=lambda ks: InterpolationModel(ks), name="custom"
+        )
+    assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
